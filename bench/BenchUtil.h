@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the experiment harnesses (DESIGN.md E1-E8). Each bench
+/// Helpers shared by the experiment harnesses E1-E8 (listed in the "The
+/// paper-experiment harnesses" section of e2ebench/README.md). Each bench
 /// binary regenerates one paper artifact and prints paper-vs-measured rows;
 /// absolute numbers differ from the 2003 testbed, the *shape* is what must
-/// reproduce (see EXPERIMENTS.md).
+/// reproduce.
 ///
 /// Set ASTRAL_BENCH_FULL=1 for the full-size sweeps (several minutes).
 ///

@@ -3,12 +3,12 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E2 (DESIGN.md): the headline result of Sect. 8 — "we had 1,200
-// false alarms with the analyzer [5] we started with. The refinements of
-// the analyzer described in this paper reduce the number of alarms down to
-// 11 (and even 3)". We stack the refinements in the paper's order and print
-// the alarm count after each step; the shape to reproduce is a monotone
-// collapse by orders of magnitude, ending at (near) zero.
+// Experiment E2 (e2ebench/README.md): the headline result of Sect. 8 — "we had
+// 1,200 false alarms with the analyzer [5] we started with. The refinements of
+// the analyzer described in this paper reduce the number of alarms down to 11
+// (and even 3)". We stack the refinements in the paper's order and print the
+// alarm count after each step; the shape to reproduce is a monotone collapse by
+// orders of magnitude, ending at (near) zero.
 //
 //===----------------------------------------------------------------------===//
 

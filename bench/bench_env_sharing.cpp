@@ -3,14 +3,14 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E5 (DESIGN.md): Sect. 6.1.2 — naive array environments make
-// abstract union cost linear in the number of cells, and since both cells
+// Experiment E5 (e2ebench/README.md): Sect. 6.1.2 — naive array environments
+// make abstract union cost linear in the number of cells, and since both cells
 // and tests grow linearly with code size the analysis goes quadratic; the
 // sharable-tree maps with physical-equality short-cuts make the union cost
-// proportional to the number of *differing* cells ("on a 10,000-line
-// example ... the execution time was divided by seven"). We benchmark the
-// branch-join workload (big environment, few modified cells) under both
-// representations with google-benchmark, then print the summary ratio.
+// proportional to the number of *differing* cells ("on a 10,000-line example
+// ... the execution time was divided by seven"). We benchmark the branch-join
+// workload (big environment, few modified cells) under both representations
+// with google-benchmark, then print the summary ratio.
 //
 //===----------------------------------------------------------------------===//
 

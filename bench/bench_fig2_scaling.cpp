@@ -3,12 +3,12 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E1 (DESIGN.md): Fig. 2 plots total analysis time against
+// Experiment E1 (e2ebench/README.md): Fig. 2 plots total analysis time against
 // program size (kLOC) for the family of programs, "using a slow but precise
-// iteration strategy", on a 2.4 GHz PC: roughly 400 s at 10 kLOC up to
-// ~7,300 s at 75 kLOC — super-linear but polynomial growth. We regenerate
-// the same series on family members produced by the generator; the shape
-// (monotone, super-linear, no blow-up) is the reproduction target.
+// iteration strategy", on a 2.4 GHz PC: roughly 400 s at 10 kLOC up to ~7,300 s
+// at 75 kLOC — super-linear but polynomial growth. We regenerate the same
+// series on family members produced by the generator; the shape (monotone,
+// super-linear, no blow-up) is the reproduction target.
 //
 //===----------------------------------------------------------------------===//
 

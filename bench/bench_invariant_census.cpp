@@ -3,14 +3,14 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E4 (DESIGN.md): Sect. 9.4.1 dumps the main loop invariant
-// (4.5 Mb of text) and counts its assertions: 6,900 boolean, 9,600
-// interval, 25,400 clock, 19,100 additive octagonal, 19,200 subtractive
-// octagonal, 100 decision trees, 1,900 ellipsoidal; over 16,000 distinct
-// floating-point constants. We census the main loop invariant of a family
-// member; the reproduction target is the *ordering* — interval/clock/
-// octagon assertions dominate, decision trees and ellipsoids are rare —
-// and proportionality with program size.
+// Experiment E4 (e2ebench/README.md): Sect. 9.4.1 dumps the main loop invariant
+// (4.5 Mb of text) and counts its assertions: 6,900 boolean, 9,600 interval,
+// 25,400 clock, 19,100 additive octagonal, 19,200 subtractive octagonal, 100
+// decision trees, 1,900 ellipsoidal; over 16,000 distinct floating-point
+// constants. We census the main loop invariant of a family member; the
+// reproduction target is the *ordering* — interval/clock/octagon assertions
+// dominate, decision trees and ellipsoids are rare — and proportionality with
+// program size.
 //
 //===----------------------------------------------------------------------===//
 

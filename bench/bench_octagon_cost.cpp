@@ -3,7 +3,8 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E7 (DESIGN.md): Sect. 6.2.2 — octagon operations are "cubic in
+// Experiment E7 (e2ebench/README.md, "The paper-experiment harnesses"):
+// Sect. 6.2.2 — octagon operations are "cubic in
 // time and quadratic in space (w.r.t. the number of variables)", which is
 // why the analyzer partitions variables into many small packs ("a linear
 // number of constant-sized octagons, effectively resulting in a cost linear
@@ -13,9 +14,9 @@
 // packs at fixed size (expect linear growth).
 //
 // The plain-text OCTCLOSE section at the end runs the fig2 scaling members
-// through the whole analyzer under both closure disciplines
-// (--octagon-closure=full vs incremental) and prints machine-readable rows
-// that scripts/bench_domains.sh folds into BENCH_octagon.json.
+// through the whole analyzer (which always closes incrementally) and prints
+// machine-readable rows of its closure work that scripts/bench_domains.sh
+// folds into BENCH_octagon.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -159,16 +160,16 @@ BENCHMARK(benchJoinBySize)->DenseRange(2, 16, 2);
 BENCHMARK(benchIndexOfFlat)->DenseRange(4, 16, 4);
 BENCHMARK(benchIndexOfLinearReference)->DenseRange(4, 16, 4);
 
-/// Whole-analyzer differential: the fig2 scaling members under both closure
-/// disciplines. Rows are machine-readable for scripts/bench_domains.sh:
-///   OCTCLOSE lines=N kloc=K mode=full|incremental seconds=S s_per_kloc=P
-///            closures_full=A closures_incremental=B alarms=C
-int runFig2ClosureComparison() {
-  std::puts("OCTCLOSE — closure discipline on the fig2 scaling members");
-  std::puts("(full = Floyd-Warshall sweep after every transfer; incremental "
-            "= dirty-row/");
-  std::puts("column propagation; reports are byte-identical, only the work "
-            "changes)");
+/// Whole-analyzer closure work on the fig2 scaling members. Rows are
+/// machine-readable for scripts/bench_domains.sh:
+///   OCTCLOSE lines=N kloc=K seconds=S s_per_kloc=P closures_full=A
+///            closures_incremental=B alarms=C
+int runFig2ClosureCensus() {
+  std::puts("OCTCLOSE — closure work on the fig2 scaling members");
+  std::puts("(closures_full = Floyd-Warshall sweeps, after widening or when "
+            "the dirty set");
+  std::puts("is too large; closures_incremental = dirty-row/column "
+            "propagations)");
   std::vector<unsigned> Lines = {1000, 2000, 4000, 8000};
   if (fullRuns()) {
     Lines.push_back(16000);
@@ -179,27 +180,21 @@ int runFig2ClosureComparison() {
     C.TargetLines = L;
     C.Seed = 1234;
     codegen::FamilyProgram FP = codegen::generateFamilyProgram(C);
-    for (OctClosureMode Mode :
-         {OctClosureMode::Full, OctClosureMode::Incremental}) {
-      AnalysisResult R = analyzeFamily(
-          FP, [Mode](AnalyzerOptions &O) { O.OctagonClosure = Mode; });
-      if (!R.FrontendOk) {
-        std::printf("  frontend failed: %s\n", R.FrontendErrors.c_str());
-        return 1;
-      }
-      double KLoc = FP.LineCount / 1000.0;
-      std::printf("OCTCLOSE lines=%u kloc=%.1f mode=%s seconds=%.3f "
-                  "s_per_kloc=%.4f closures_full=%llu "
-                  "closures_incremental=%llu alarms=%zu\n",
-                  FP.LineCount, KLoc,
-                  Mode == OctClosureMode::Full ? "full" : "incremental",
-                  R.AnalysisSeconds, R.AnalysisSeconds / KLoc,
-                  static_cast<unsigned long long>(
-                      R.Stats.get("analysis.octagon_closures_full")),
-                  static_cast<unsigned long long>(
-                      R.Stats.get("analysis.octagon_closures_incremental")),
-                  R.alarmCount());
+    AnalysisResult R = analyzeFamily(FP);
+    if (!R.FrontendOk) {
+      std::printf("  frontend failed: %s\n", R.FrontendErrors.c_str());
+      return 1;
     }
+    double KLoc = FP.LineCount / 1000.0;
+    std::printf("OCTCLOSE lines=%u kloc=%.1f seconds=%.3f s_per_kloc=%.4f "
+                "closures_full=%llu closures_incremental=%llu alarms=%zu\n",
+                FP.LineCount, KLoc, R.AnalysisSeconds,
+                R.AnalysisSeconds / KLoc,
+                static_cast<unsigned long long>(
+                    R.Stats.get("analysis.octagon_closures_full")),
+                static_cast<unsigned long long>(
+                    R.Stats.get("analysis.octagon_closures_incremental")),
+                R.alarmCount());
   }
   return 0;
 }
@@ -228,5 +223,5 @@ int main(int argc, char **argv) {
     std::puts("OCTCLOSE skipped (ASTRAL_BENCH_OCTCLOSE=0)");
     return 0;
   }
-  return runFig2ClosureComparison();
+  return runFig2ClosureCensus();
 }

@@ -3,14 +3,14 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E3 (DESIGN.md): Sect. 7.2.1/7.2.2 + Sect. 8 — "on a program of
-// 75 kLOC, 2,600 octagons were detected, each containing four variables on
-// average ... only 400 out of the 2,600 original octagons were in fact
-// useful", and reusing the useful-pack list "reduces memory consumption
+// Experiment E3 (e2ebench/README.md): Sect. 7.2.1/7.2.2 + Sect. 8 — "on a
+// program of 75 kLOC, 2,600 octagons were detected, each containing four
+// variables on average ... only 400 out of the 2,600 original octagons were in
+// fact useful", and reusing the useful-pack list "reduces memory consumption
 // from 550 Mb to 150 Mb and time from 1h40 to 40min". We analyze a family
-// member twice — all syntactic packs, then useful-only — and report the
-// pack counts, time and abstract-state memory. Shape: useful packs are a
-// small fraction; time and memory drop; precision is unchanged.
+// member twice — all syntactic packs, then useful-only — and report the pack
+// counts, time and abstract-state memory. Shape: useful packs are a small
+// fraction; time and memory drop; precision is unchanged.
 //
 //===----------------------------------------------------------------------===//
 

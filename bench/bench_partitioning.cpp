@@ -3,11 +3,11 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E8 (DESIGN.md): trace partitioning (7.1.5) delays the merge of
-// test branches inside selected functions, keeping mode/value correlations;
-// loop unrolling (7.1.1) analyzes the first iteration(s) separately. We
-// sweep both knobs over the correlated-branch family idiom and report
-// alarms and cost. Shape: partitioning removes the correlation alarms at
+// Experiment E8 (e2ebench/README.md): trace partitioning (7.1.5) delays the
+// merge of test branches inside selected functions, keeping mode/value
+// correlations; loop unrolling (7.1.1) analyzes the first iteration(s)
+// separately. We sweep both knobs over the correlated-branch family idiom and
+// report alarms and cost. Shape: partitioning removes the correlation alarms at
 // moderate cost; unrolling sharpens first-iteration facts.
 //
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,7 @@
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003).
 //
-// Experiment E6 (DESIGN.md): ablation of the iteration strategies:
+// Experiment E6 (e2ebench/README.md): ablation of the iteration strategies:
 //   - widening with thresholds (7.1.2) recovers the integrator bound
 //     M = max|beta| / (1 - alpha);
 //   - delayed widening (7.1.3) keeps the X := Y + g; Y := aX + h cascade

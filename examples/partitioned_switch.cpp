@@ -36,8 +36,8 @@ const char *SwitchProgram = R"(
 
   /* Clamp helper, called from inside the partitioned region: each mode
      partition inlines it with its own limit, so the call site sees a
-     width-2 disjunction — the call-context dispatch grain fans exactly
-     here (`call_dispatch.dispatched` in --dump-stats). */
+     width-2 disjunction and the helper is analyzed once per calling
+     context (Sect. 5.4). */
   float clamp_mag(float v, float limit) {
     if (v > limit)  { v = limit; }
     if (v < -limit) { v = -limit; }

@@ -3,7 +3,7 @@
 # analyzer performance — bench_fig2_scaling (time vs kLOC, Fig. 2),
 # bench_packing_opt (abstract-state memory, Sect. 7.2.2),
 # bench_parallel_jobs (speedup vs --jobs, the Monniaux parallel direction)
-# and bench_octagon_cost's closure-discipline comparison — and folds their
+# and bench_octagon_cost's whole-analyzer closure census — and folds their
 # numbers into machine-readable BENCH_domains.json, BENCH_parallel.json and
 # BENCH_octagon.json, so this and future perf PRs show their trajectory.
 #
@@ -77,14 +77,11 @@ echo "bench_domains: wrote $OUT"
 
 # ---------------------------------------------------------------------------
 # BENCH_parallel.json: speedup-vs-jobs series from bench_parallel_jobs.
-# Rows: "PARALLEL single jobs=N dispatch=seq|groups seconds=S speedup=X
-#        alarms=A" (the pack-dispatch dimension isolates the grouped
-#        transfer grain), "PARALLEL partition jobs=N dispatch=seq|par
-#        seconds=S speedup=X reps=R" (the trace-partition grain on
-#        examples/partitioned_switch.cpp), "PARALLEL call jobs=N
-#        dispatch=seq|par seconds=S speedup=X reps=R" (the call-context
-#        grain on the same example) and "PARALLEL batch jobs=N files=K
-#        seconds=S speedup=X".
+# Rows: "PARALLEL single jobs=N seconds=S speedup=X alarms=A" (the
+#        slot-level lattice stages), "PARALLEL partition jobs=N
+#        dispatch=seq|par seconds=S speedup=X reps=R" (the trace-partition
+#        grain on examples/partitioned_switch.cpp) and "PARALLEL batch
+#        jobs=N files=K seconds=S speedup=X".
 # ---------------------------------------------------------------------------
 # Surface the bench's own diagnostic (e.g. "DETERMINISM VIOLATION ...") on
 # failure — it prints to stdout, which the capture would otherwise swallow.
@@ -94,7 +91,7 @@ if ! PAR_RAW=$("$PARALLEL" 2>/dev/null); then
   exit 1
 fi
 
-par_series() { # $1 = single|batch
+par_series() { # $1 = single|partition|batch
   printf '%s\n' "$PAR_RAW" | awk -v kind="$1" '
     $1 == "PARALLEL" && $2 == kind {
       jobs = seconds = speedup = dispatch = ""
@@ -117,15 +114,13 @@ par_series() { # $1 = single|batch
 
 SINGLE_JSON=$(par_series single)
 PARTITION_JSON=$(par_series partition)
-CALL_JSON=$(par_series call)
 BATCH_JSON=$(par_series batch)
 BATCH_FILES=$(printf '%s\n' "$PAR_RAW" | awk '
   $1 == "PARALLEL" && $2 == "batch" {
     for (i = 3; i <= NF; i++) { split($i, kv, "="); if (kv[1] == "files") { print kv[2]; exit } }
   }')
 
-if [[ -z "$SINGLE_JSON" || -z "$PARTITION_JSON" || -z "$CALL_JSON" ||
-      -z "$BATCH_JSON" ]]; then
+if [[ -z "$SINGLE_JSON" || -z "$PARTITION_JSON" || -z "$BATCH_JSON" ]]; then
   echo "bench_domains: could not parse bench_parallel_jobs output" >&2
   exit 1
 fi
@@ -146,9 +141,6 @@ $SINGLE_JSON
   "partition": [
 $PARTITION_JSON
   ],
-  "call": [
-$CALL_JSON
-  ],
   "batch": {
     "files": $BATCH_FILES,
     "series": [
@@ -161,11 +153,11 @@ EOF
 echo "bench_domains: wrote $PAR_OUT"
 
 # ---------------------------------------------------------------------------
-# BENCH_octagon.json: closure-discipline comparison from bench_octagon_cost.
-# Rows: "OCTCLOSE lines=N kloc=K mode=full|incremental seconds=S
-#        s_per_kloc=P closures_full=A closures_incremental=B alarms=C".
+# BENCH_octagon.json: whole-analyzer closure census from bench_octagon_cost.
+# Rows: "OCTCLOSE lines=N kloc=K seconds=S s_per_kloc=P closures_full=A
+#        closures_incremental=B alarms=C".
 # The micro-benchmarks are skipped (--benchmark_filter matching nothing);
-# only the whole-analyzer fig2 comparison feeds the JSON.
+# only the whole-analyzer fig2 census feeds the JSON.
 # ---------------------------------------------------------------------------
 if ! OCT_RAW=$("$OCTCOST" --benchmark_filter='^$' 2>/dev/null); then
   echo "bench_domains: $OCTCOST failed:" >&2
@@ -175,12 +167,11 @@ fi
 
 OCT_JSON=$(printf '%s\n' "$OCT_RAW" | awk '
   $1 == "OCTCLOSE" && NF > 2 {
-    lines = kloc = mode = seconds = perk = cf = ci = alarms = ""
+    lines = kloc = seconds = perk = cf = ci = alarms = ""
     for (i = 2; i <= NF; i++) {
       split($i, kv, "=")
       if (kv[1] == "lines") lines = kv[2]
       if (kv[1] == "kloc") kloc = kv[2]
-      if (kv[1] == "mode") mode = kv[2]
       if (kv[1] == "seconds") seconds = kv[2]
       if (kv[1] == "s_per_kloc") perk = kv[2]
       if (kv[1] == "closures_full") cf = kv[2]
@@ -188,8 +179,8 @@ OCT_JSON=$(printf '%s\n' "$OCT_RAW" | awk '
       if (kv[1] == "alarms") alarms = kv[2]
     }
     if (lines == "") next
-    rows[n++] = sprintf("    {\"lines\": %s, \"kloc\": %s, \"mode\": \"%s\", \"seconds\": %s, \"s_per_kloc\": %s, \"closures_full\": %s, \"closures_incremental\": %s, \"alarms\": %s}",
-                        lines, kloc, mode, seconds, perk, cf, ci, alarms)
+    rows[n++] = sprintf("    {\"lines\": %s, \"kloc\": %s, \"seconds\": %s, \"s_per_kloc\": %s, \"closures_full\": %s, \"closures_incremental\": %s, \"alarms\": %s}",
+                        lines, kloc, seconds, perk, cf, ci, alarms)
   }
   END { for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i + 1 < n ? "," : "") }')
 

@@ -21,15 +21,11 @@ echo "== tsan: ThreadSanitizer build + parallel suites =="
 cmake -B build-tsan -S . -DASTRAL_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R "test_scheduler|test_analysis_session|test_iterator|test_domain_registry|test_octagon|test_pack_groups|test_partition_dispatch|test_call_dispatch|test_service|test_interference|test_cancellation"
+      -R "test_scheduler|test_analysis_session|test_iterator|test_domain_registry|test_octagon|test_partition_dispatch|test_service|test_interference|test_cancellation"
 
 echo
-echo "== determinism matrix: jobs x pack-dispatch x partition-dispatch x call-dispatch (CI parity) =="
+echo "== determinism matrix: jobs x partition-dispatch (CI parity) =="
 scripts/determinism_matrix.sh build
-
-echo
-echo "== parallel smoke: grouped + call dispatch regression gate (CI parity) =="
-ASTRAL_BENCH_SMOKE=1 build/bench/bench_parallel_jobs
 
 echo
 echo "== serve smoke: daemon conformance + cache proof (CI parity) =="
@@ -44,13 +40,11 @@ echo "== smoke: astral-cli end-to-end =="
 build/tools/astral-cli examples/flight_control.cpp --dump-invariants >/dev/null
 build/tools/astral-cli examples/quickstart.cpp --json --fail-on-alarms >/dev/null
 build/tools/astral-cli examples/rate_limiter_clocked.cpp --json --jobs=8 --fail-on-alarms >/dev/null
-build/tools/astral-cli examples/flight_control.cpp --json --jobs=0 --pack-dispatch=seq >/dev/null
+build/tools/astral-cli examples/flight_control.cpp --json --jobs=0 >/dev/null
 build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --partition-dispatch=seq --dump-stats >/dev/null 2>&1
-build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --call-dispatch=seq --call-memo=off >/dev/null
 build/tools/astral-cli examples/thread_handoff.cpp examples/thread_mode_table.cpp --json --jobs=8 >/dev/null
 build-tsan/tools/astral-cli examples/quickstart.cpp examples/interp_table.cpp --json --jobs=8 >/dev/null
 build-tsan/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --partition-dispatch=par >/dev/null
-build-tsan/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --call-dispatch=par >/dev/null
 build-tsan/tools/astral-cli examples/thread_handoff.cpp --json --jobs=8 >/dev/null
 
 echo

@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Multi-core determinism matrix: every golden example must produce a
-# byte-identical JSON report across --jobs=1/2/8 x --pack-dispatch=seq/groups
-# x --partition-dispatch=seq/par x --call-dispatch=seq/par (the
-# all-sequential --jobs=1 report is the baseline). This is the first-class
-# CI gate behind the parallel analyzer's determinism contract — the in-tree
-# ctest goldens cover the same matrix per case, this script is the
-# standalone/CI entry point and the scripts/check.sh parity hook.
+# byte-identical JSON report across --jobs=1/2/8 x --partition-dispatch=
+# seq/par (the all-sequential --jobs=1 report is the baseline). This is the
+# first-class CI gate behind the parallel analyzer's determinism contract —
+# the in-tree ctest goldens cover the same matrix per case, this script is
+# the standalone/CI entry point and the scripts/check.sh parity hook.
 #
 # On partitioned_switch the gate additionally demands proof that the
-# trace-partition dispatch and the call-context dispatch actually ran
-# (parallel.partitions.dispatched > 0 and call_dispatch.dispatched > 0 in
-# the --dump-stats census): byte-identity alone would also be satisfied
-# by the parallel paths silently degenerating to the sequential loops.
+# trace-partition dispatch actually ran (parallel.partitions.dispatched > 0
+# in the --dump-stats census), and on thread_handoff that the interference
+# rounds ran (concurrency.rounds > 0): byte-identity alone would also be
+# satisfied by the parallel paths silently degenerating.
 #
 # Mismatching reports are saved under <build-dir>/determinism-actual — the
 # stable path CI uploads as a workflow artifact on failure.
@@ -43,14 +42,13 @@ trap 'rm -f "$STDERR_TMP"' EXIT
 # Runs one configuration, naming it on any non-zero exit (a crash here is
 # exactly the regression class this gate exists to catch — it must not die
 # silently under set -e).
-run_cli() { # $1=input $2=jobs $3=pack-dispatch $4=partition-dispatch $5=call-dispatch
+run_cli() { # $1=input $2=jobs $3=partition-dispatch
   local rc=0
-  "$CLI" "$1" --json --jobs="$2" --pack-dispatch="$3" \
-      --partition-dispatch="$4" --call-dispatch="$5" 2>"$STDERR_TMP" |
-      normalize || rc=$?
+  "$CLI" "$1" --json --jobs="$2" --partition-dispatch="$3" \
+      2>"$STDERR_TMP" | normalize || rc=$?
   if [[ $rc -ne 0 ]]; then
-    echo "determinism_matrix: $1 --jobs=$2 --pack-dispatch=$3" \
-         "--partition-dispatch=$4 --call-dispatch=$5 exited with $rc:" >&2
+    echo "determinism_matrix: $1 --jobs=$2 --partition-dispatch=$3" \
+         "exited with $rc:" >&2
     cat "$STDERR_TMP" >&2
     return 1
   fi
@@ -59,36 +57,28 @@ run_cli() { # $1=input $2=jobs $3=pack-dispatch $4=partition-dispatch $5=call-di
 fail=0
 for case in $CASES; do
   input="examples/$case.cpp"
-  base=$(run_cli "$input" 1 seq seq seq) || { fail=1; continue; }
+  base=$(run_cli "$input" 1 seq) || { fail=1; continue; }
   for jobs in 1 2 8; do
-    for disp in seq groups; do
-      for pdisp in seq par; do
-        for cdisp in seq par; do
-          [[ "$jobs" == 1 && "$disp" == seq && "$pdisp" == seq &&
-             "$cdisp" == seq ]] && continue
-          out=$(run_cli "$input" "$jobs" "$disp" "$pdisp" "$cdisp") ||
-              { fail=1; continue; }
-          if [[ "$out" != "$base" ]]; then
-            echo "DETERMINISM VIOLATION: $case --jobs=$jobs" \
-                 "--pack-dispatch=$disp --partition-dispatch=$pdisp" \
-                 "--call-dispatch=$cdisp" >&2
-            diff <(printf '%s\n' "$base") <(printf '%s\n' "$out") | head -40 >&2 || true
-            mkdir -p "$ACTUAL_DIR"
-            printf '%s\n' "$base" >"$ACTUAL_DIR/$case.base.json"
-            printf '%s\n' "$out" \
-                >"$ACTUAL_DIR/$case.jobs$jobs.$disp.$pdisp.$cdisp.actual.json"
-            fail=1
-          fi
-        done
-      done
+    for pdisp in seq par; do
+      [[ "$jobs" == 1 && "$pdisp" == seq ]] && continue
+      out=$(run_cli "$input" "$jobs" "$pdisp") || { fail=1; continue; }
+      if [[ "$out" != "$base" ]]; then
+        echo "DETERMINISM VIOLATION: $case --jobs=$jobs" \
+             "--partition-dispatch=$pdisp" >&2
+        diff <(printf '%s\n' "$base") <(printf '%s\n' "$out") | head -40 >&2 || true
+        mkdir -p "$ACTUAL_DIR"
+        printf '%s\n' "$base" >"$ACTUAL_DIR/$case.base.json"
+        printf '%s\n' "$out" >"$ACTUAL_DIR/$case.jobs$jobs.$pdisp.actual.json"
+        fail=1
+      fi
     done
   done
-  echo "determinism_matrix: ok $case (jobs=1/2/8 x pack=seq/groups x" \
-       "partition=seq/par x call=seq/par)"
+  echo "determinism_matrix: ok $case (jobs=1/2/8 x partition=seq/par)"
 done
 
-# Liveness proof for the third grain: the partitioned example must actually
-# fan partitions out under --partition-dispatch=par with a parallel pool.
+# Liveness proof for the partition grain: the partitioned example must
+# actually fan partitions out under --partition-dispatch=par with a parallel
+# pool.
 dispatched=$("$CLI" examples/partitioned_switch.cpp --json --jobs=8 \
     --partition-dispatch=par --dump-stats 2>&1 >/dev/null |
     sed -nE 's/^parallel\.partitions\.dispatched = ([0-9]+)$/\1/p')
@@ -98,32 +88,6 @@ if [[ -z "$dispatched" || "$dispatched" -eq 0 ]]; then
   fail=1
 else
   echo "determinism_matrix: partition dispatch ran ($dispatched partition(s) dispatched)"
-fi
-
-# Liveness proof for the call-context grain: the partitioned example's
-# clamp helper is called from a width-2 disjunction, so the call dispatch
-# must actually fan out under --call-dispatch=par — and the call-summary
-# memo must actually hit (the narrowing re-execution sees bitwise-identical
-# call inputs), or the memo is dead weight.
-cdispatched=$("$CLI" examples/partitioned_switch.cpp --json --jobs=8 \
-    --call-dispatch=par --dump-stats 2>&1 >/dev/null |
-    sed -nE 's/^call_dispatch\.dispatched = ([0-9]+)$/\1/p')
-if [[ -z "$cdispatched" || "$cdispatched" -eq 0 ]]; then
-  echo "determinism_matrix: call dispatch never ran on" \
-       "partitioned_switch (call_dispatch.dispatched=${cdispatched:-missing})" >&2
-  fail=1
-else
-  echo "determinism_matrix: call dispatch ran ($cdispatched call context(s) dispatched)"
-fi
-memo_hits=$("$CLI" examples/partitioned_switch.cpp --json --jobs=8 \
-    --dump-stats 2>&1 >/dev/null |
-    sed -nE 's/^iterator\.call_memo_hits = ([0-9]+)$/\1/p')
-if [[ -z "$memo_hits" || "$memo_hits" -eq 0 ]]; then
-  echo "determinism_matrix: call-summary memo never hit on" \
-       "partitioned_switch (iterator.call_memo_hits=${memo_hits:-missing})" >&2
-  fail=1
-else
-  echo "determinism_matrix: call-summary memo hit ($memo_hits hit(s))"
 fi
 
 # Liveness proof for the thread grain: the threaded example must actually

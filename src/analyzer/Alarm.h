@@ -64,31 +64,11 @@ struct Alarm {
   uint32_t Repeats = 0;
 };
 
-/// One recorded alarm effect, replayable verbatim: the arguments of a
-/// report() call plus how many times it was (equivalently) issued. The
-/// call-summary memo journals these — report() deduplicates and discards
-/// duplicate messages, so a before/after diff of the set cannot reconstruct
-/// the effect sequence; only a journal of the calls themselves can.
-struct AlarmReport {
-  uint32_t Point = 0;
-  SourceLocation Loc;
-  AlarmKind Kind = AlarmKind::IntOverflow;
-  std::string Message;
-  bool Definite = false;
-  /// Equivalent report() issues this entry stands for (merge() folds a
-  /// worker alarm with R repeats as one entry with Times = R + 1).
-  uint32_t Times = 1;
-};
-
-using AlarmJournal = std::vector<AlarmReport>;
-
 /// Deduplicating alarm collection.
 class AlarmSet {
 public:
   void report(uint32_t Point, SourceLocation Loc, AlarmKind Kind,
               const std::string &Message, bool Definite) {
-    for (AlarmJournal *J : Journals)
-      J->push_back(AlarmReport{Point, Loc, Kind, Message, Definite, 1});
     auto [It, Inserted] = Index.try_emplace(
         std::make_pair(Point, static_cast<uint8_t>(Kind)), Alarms.size());
     if (!Inserted) {
@@ -104,15 +84,9 @@ public:
   /// every report of \p O, in \p O's report order. Partition workers buffer
   /// alarms into private sets; the master merges them back in canonical
   /// partition order, so the combined record/repeat/definite state is
-  /// byte-identical to the sequential run. Active journals record the fold
-  /// too (as one entry per alarm, weighted by its repeat count): a nested
-  /// partition dispatch inside a memo-recorded callee surfaces its worker
-  /// alarms through exactly this path.
+  /// byte-identical to the sequential run.
   void merge(const AlarmSet &O) {
     for (const Alarm &A : O.Alarms) {
-      for (AlarmJournal *J : Journals)
-        J->push_back(AlarmReport{A.Point, A.Loc, A.Kind, A.Message,
-                                 A.Definite, A.Repeats + 1});
       auto [It, Inserted] = Index.try_emplace(
           std::make_pair(A.Point, static_cast<uint8_t>(A.Kind)),
           Alarms.size());
@@ -125,22 +99,6 @@ public:
       Alarms.push_back(A);
     }
   }
-
-  /// Re-issues every recorded report of \p J, in order — the memo-hit
-  /// replay. Feeds any journals active on *this* set too (report() does),
-  /// so a memo recording that itself hits an inner summary nests correctly.
-  void replay(const AlarmJournal &J) {
-    for (const AlarmReport &R : J)
-      for (uint32_t I = 0; I < R.Times; ++I)
-        report(R.Point, R.Loc, R.Kind, R.Message, R.Definite);
-  }
-
-  /// Journal recording stack (the call-summary memo's effect capture).
-  /// Not thread-safe — like the rest of the set, a journal is pushed and
-  /// popped by the single iterator thread bound to this set; parallel
-  /// workers record into their own buffered sets.
-  void pushJournal(AlarmJournal *J) { Journals.push_back(J); }
-  void popJournal() { Journals.pop_back(); }
 
   const std::vector<Alarm> &alarms() const { return Alarms; }
   size_t size() const { return Alarms.size(); }
@@ -157,7 +115,6 @@ public:
 private:
   std::vector<Alarm> Alarms;
   std::map<std::pair<uint32_t, uint8_t>, size_t> Index;
-  std::vector<AlarmJournal *> Journals; ///< Active recordings, innermost last.
 };
 
 } // namespace astral

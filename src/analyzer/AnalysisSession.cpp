@@ -116,10 +116,6 @@ void fingerprintPacking(const AnalyzerOptions &O, FingerprintWriter &W) {
   }
   W.field("restrict_oct_packs", Restrict);
   W.field("use_restricted_packs", O.UseRestrictedPacks);
-  // The registry bakes the closure discipline into the octagon domain it
-  // instantiates, so a closure-mode flip is a packing-phase change.
-  W.field("octagon_closure",
-          uint64_t(static_cast<uint8_t>(O.OctagonClosure)));
 }
 
 void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
@@ -150,16 +146,13 @@ void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
     W.field("volatile_range", std::string(Buf));
   }
   W.field("clock_max", O.ClockMax);
-  // Jobs and the dispatch modes cannot change the report (the determinism
-  // guarantee), but they do change the execution artifact's work-metering
-  // statistics — so they fingerprint into the execution phase, never into
-  // the shareable ones.
+  // Jobs and the partition dispatch mode cannot change the report (the
+  // determinism guarantee), but they do change the execution artifact's
+  // work-metering statistics — so they fingerprint into the execution
+  // phase, never into the shareable ones.
   W.field("jobs", uint64_t(O.Jobs));
-  W.field("pack_dispatch", uint64_t(static_cast<uint8_t>(O.PackDispatch)));
   W.field("partition_dispatch",
           uint64_t(static_cast<uint8_t>(O.PartitionDispatch)));
-  W.field("call_dispatch", uint64_t(static_cast<uint8_t>(O.CallDispatch)));
-  W.field("call_memo", O.CallMemo);
   W.field("max_call_depth", uint64_t(O.MaxCallDepth));
   W.field("record_loop_invariants", O.RecordLoopInvariants);
   // Resource governance fingerprints into the execution phase only: the
@@ -580,7 +573,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
                                                  : schedulerForRun());
   Timer AnalysisTimer;
   size_t MaxPartitionWidth = 0;
-  size_t MaxCallWidth = 0;
   if (In.Options.Threads.empty()) {
     Iterator Iter(*Frontend->Program, *Layout->Layout, *P.Registry,
                   In.Options, E.Stats, Alarms);
@@ -589,14 +581,12 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     E.LoopInvariants = Iter.loopInvariants();
     E.RelPackImproved = Iter.transfer().RelPackImproved;
     MaxPartitionWidth = Iter.maxPartitionDispatchWidth();
-    MaxCallWidth = Iter.maxCallDispatchWidth();
   } else {
     // Threaded program: the interference fixpoint rounds of
     // concurrency::ConcurrentAnalysis replace the single sequential run.
-    // Per-thread analyses fan out over the same ambient scheduler (the
-    // fourth parallel grain); every merge is in thread-declaration order,
-    // so the report stays byte-identical across --jobs and both dispatch
-    // modes.
+    // Per-thread analyses fan out over the same ambient scheduler; every
+    // merge is in thread-declaration order, so the report stays
+    // byte-identical across --jobs and both partition-dispatch modes.
     concurrency::ConcurrentAnalysis CA(*Frontend->Program, *Layout->Layout,
                                        *P.Registry, In.Options, E.Stats);
     concurrency::ConcurrentResult CR = CA.run();
@@ -605,7 +595,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     E.LoopInvariants = std::move(CR.LoopInvariants);
     E.RelPackImproved = std::move(CR.RelPackImproved);
     MaxPartitionWidth = CR.MaxPartitionWidth;
-    MaxCallWidth = CR.MaxCallWidth;
     E.Stats.set("concurrency.threads", In.Options.Threads.size());
     E.Stats.set("concurrency.rounds", CR.Rounds);
     E.Stats.set("concurrency.interference_cells", CR.InterferenceCells);
@@ -628,33 +617,15 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   E.Stats.set("analysis.octagon_closures", FullSweeps + IncSweeps);
   E.Stats.set("analysis.octagon_closures_full", FullSweeps);
   E.Stats.set("analysis.octagon_closures_incremental", IncSweeps);
-  // Pack-group dispatch shape: the per-domain plan census and the mode the
-  // run used — work-meter counters like the per-sweep dispatch counts in
-  // Transfer, reported here so `parallel.*` describes the whole strategy.
-  E.Stats.set("parallel.pack_dispatch_groups",
-              In.Options.PackDispatch == PackDispatchMode::Groups ? 1 : 0);
   // Trace-partition dispatch shape: the mode plus the widest disjunction
   // the Iterator actually fanned out (`parallel.partitions.dispatched`
-  // accumulates per-dispatch widths during the run) — the proof the third
-  // grain ran, used by the determinism matrix and the dispatch tests.
+  // accumulates per-dispatch widths during the run) — the proof the grain
+  // ran, used by the determinism matrix and the dispatch tests.
   E.Stats.set("parallel.partition_dispatch_par",
               In.Options.PartitionDispatch == PartitionDispatchMode::Parallel
                   ? 1
                   : 0);
   E.Stats.set("parallel.partitions.max_width", MaxPartitionWidth);
-  // Call-context dispatch shape, same contract as the partition grain:
-  // `call_dispatch.dispatched` accumulates per-dispatch widths during the
-  // run, and the memo meters land in `iterator.call_memo_{hits,misses}`.
-  E.Stats.set("parallel.call_dispatch_par",
-              In.Options.CallDispatch == CallDispatchMode::Parallel ? 1 : 0);
-  E.Stats.set("parallel.calls.max_width", MaxCallWidth);
-  for (size_t D = 0; D < P.Registry->size(); ++D) {
-    const PackGroupPlan &Plan = P.Registry->groupPlan(D);
-    std::string Prefix =
-        std::string("parallel.groups.") + P.Registry->domain(D).name();
-    E.Stats.set(Prefix + ".count", Plan.numGroups());
-    E.Stats.set(Prefix + ".largest", Plan.largestGroup());
-  }
   return E;
 }
 

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 
 namespace astral {
@@ -199,14 +198,6 @@ void printUsage(std::FILE *Out) {
       "                               the hardware thread count warn once).\n"
       "                               Reports are byte-identical for every\n"
       "                               value.\n"
-      "  --pack-dispatch=<mode>       within-file transfer-sweep dispatch:\n"
-      "                               'groups' (default) fans the disjoint\n"
-      "                               pack groups of each relational domain\n"
-      "                               out over the worker pool with a\n"
-      "                               deterministic channel merge; 'seq'\n"
-      "                               keeps the historical sequential\n"
-      "                               reduction chain. Both modes produce\n"
-      "                               identical reports.\n"
       "  --partition-dispatch=<mode>  trace-partition dispatch inside\n"
       "                               `@astral partition` functions: 'par'\n"
       "                               (default) fans the disjunction's\n"
@@ -216,23 +207,6 @@ void printUsage(std::FILE *Out) {
       "                               the historical per-partition loop.\n"
       "                               Both modes produce identical\n"
       "                               reports.\n"
-      "  --call-dispatch=<mode>       call-context dispatch at call sites\n"
-      "                               reached from a multi-env disjunction:\n"
-      "                               'par' (default) inlines each\n"
-      "                               environment's callee body on the\n"
-      "                               worker pool with a deterministic\n"
-      "                               partition-order merge; 'seq' keeps\n"
-      "                               the historical per-context loop.\n"
-      "                               Both modes produce identical\n"
-      "                               reports.\n"
-      "  --call-memo=<on|off>         per-analysis call-summary memo: skip\n"
-      "                               re-inlining a call context whose\n"
-      "                               exact abstract input was already\n"
-      "                               analyzed, replaying the recorded\n"
-      "                               alarms/invariants (default: on;\n"
-      "                               auto-disabled under --memory-budget).\n"
-      "                               Reports are byte-identical either\n"
-      "                               way.\n"
       "\n"
       "domain selection:\n"
       "  --domains=<list>             enabled abstract domains, a comma-\n"
@@ -242,18 +216,7 @@ void printUsage(std::FILE *Out) {
       "                               Each relational domain can be ablated\n"
       "                               independently, e.g.\n"
       "                               --domains=interval,octagon\n"
-      "  --octagon-closure=<mode>     octagon DBM closure discipline:\n"
-      "                               'incremental' (default) propagates\n"
-      "                               only through dirty rows/columns;\n"
-      "                               'full' re-runs the full\n"
-      "                               Floyd-Warshall sweep every time\n"
-      "                               (for differential benching). Both\n"
-      "                               modes produce identical reports.\n"
       "  --no-linearize               disable symbolic linearization\n"
-      "\n"
-      "  Deprecated aliases (mapped onto --domains=, warn once):\n"
-      "  --octagons/--no-octagons, --no-ellipsoids, --no-trees, --no-clock,\n"
-      "  --no-packing (= --domains=interval,clocked).\n"
       "\n"
       "iteration strategy:\n"
       "  --no-thresholds              plain interval widening\n"
@@ -283,10 +246,8 @@ void printUsage(std::FILE *Out) {
       "  `@astral clock-max 3.6e6`, `@astral partition f`,\n"
       "  `@astral threshold 500`, `@astral entry main`,\n"
       "  `@astral domains interval,octagon`, `@astral jobs 4`,\n"
-      "  `@astral pack-dispatch groups`, `@astral partition-dispatch par`,\n"
-      "  `@astral call-dispatch par`, `@astral call-memo off`,\n"
-      "  `@astral thread t1 worker` (one thread per directive),\n"
-      "  `@astral octagon-closure full` (flags override directives).\n"
+      "  `@astral partition-dispatch par`, `@astral thread t1 worker`\n"
+      "  (one thread per directive; flags override directives).\n"
       "\n"
       "resource governance:\n"
       "  --deadline-ms=<n>            wall-clock deadline for the analysis\n"
@@ -373,17 +334,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
     return Args[++I];
   };
 
-  // Deprecated domain flags warn once each and map onto the --domains=
-  // model, so existing scripts keep working.
-  std::set<std::string> DeprecationWarned;
-  auto WarnDeprecated = [&](const std::string &Flag,
-                            const std::string &Instead) {
-    if (!DeprecationWarned.insert(Flag).second)
-      return;
-    Res.Warnings.push_back("astral-cli: warning: " + Flag +
-                           " is deprecated; use " + Instead);
-  };
-
   for (I = 0; I < Args.size(); ++I) {
     const std::string &A = Args[I];
     bool IsInput = A.empty() || A[0] != '-' || A == "-";
@@ -409,31 +359,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
       }
       Cli.FlagOps.push_back(
           [DS](AnalyzerOptions &O) { O.Domains = *DS; });
-    } else if (A == "--octagons") {
-      WarnDeprecated(A, "--domains=... (octagons are on by default)");
-      Cli.FlagOps.push_back([](AnalyzerOptions &O) {
-        O.Domains.enable(DomainKind::Octagon);
-      });
-    } else if (A == "--no-octagons") {
-      WarnDeprecated(A, "--domains= without 'octagon'");
-      Cli.FlagOps.push_back([](AnalyzerOptions &O) {
-        O.Domains.enable(DomainKind::Octagon, false);
-      });
-    } else if (A == "--no-ellipsoids") {
-      WarnDeprecated(A, "--domains= without 'ellipsoid'");
-      Cli.FlagOps.push_back([](AnalyzerOptions &O) {
-        O.Domains.enable(DomainKind::Ellipsoid, false);
-      });
-    } else if (A == "--no-trees") {
-      WarnDeprecated(A, "--domains= without 'tree'");
-      Cli.FlagOps.push_back([](AnalyzerOptions &O) {
-        O.Domains.enable(DomainKind::DecisionTree, false);
-      });
-    } else if (A == "--no-clock") {
-      WarnDeprecated(A, "--domains= without 'clocked'");
-      Cli.FlagOps.push_back([](AnalyzerOptions &O) {
-        O.Domains.enable(DomainKind::Clocked, false);
-      });
     } else if (A == "--jobs" || A.rfind("--jobs=", 0) == 0) {
       std::string Val;
       if (A == "--jobs") {
@@ -493,29 +418,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
         for (const auto &T : Threads)
           O.Threads.push_back(T);
       });
-    } else if (A == "--pack-dispatch" || A.rfind("--pack-dispatch=", 0) == 0) {
-      std::string Val;
-      if (A == "--pack-dispatch") {
-        auto V = NextValue("--pack-dispatch");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--pack-dispatch=").size());
-      }
-      std::optional<PackDispatchMode> Mode;
-      if (Val == "seq")
-        Mode = PackDispatchMode::Sequential;
-      else if (Val == "groups")
-        Mode = PackDispatchMode::Groups;
-      if (!Mode) {
-        Failf("astral-cli: error: --pack-dispatch expects 'seq' or "
-              "'groups', got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.PackDispatch = *Mode; });
     } else if (A == "--partition-dispatch" ||
                A.rfind("--partition-dispatch=", 0) == 0) {
       std::string Val;
@@ -540,75 +442,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
       }
       Cli.FlagOps.push_back(
           [Mode](AnalyzerOptions &O) { O.PartitionDispatch = *Mode; });
-    } else if (A == "--call-dispatch" || A.rfind("--call-dispatch=", 0) == 0) {
-      std::string Val;
-      if (A == "--call-dispatch") {
-        auto V = NextValue("--call-dispatch");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--call-dispatch=").size());
-      }
-      std::optional<CallDispatchMode> Mode;
-      if (Val == "seq")
-        Mode = CallDispatchMode::Sequential;
-      else if (Val == "par")
-        Mode = CallDispatchMode::Parallel;
-      if (!Mode) {
-        Failf("astral-cli: error: --call-dispatch expects 'seq' or 'par', "
-              "got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.CallDispatch = *Mode; });
-    } else if (A == "--call-memo" || A.rfind("--call-memo=", 0) == 0) {
-      std::string Val;
-      if (A == "--call-memo") {
-        auto V = NextValue("--call-memo");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--call-memo=").size());
-      }
-      std::optional<bool> On;
-      if (Val == "on")
-        On = true;
-      else if (Val == "off")
-        On = false;
-      if (!On) {
-        Failf("astral-cli: error: --call-memo expects 'on' or 'off', got "
-              "'%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([On](AnalyzerOptions &O) { O.CallMemo = *On; });
-    } else if (A == "--octagon-closure" ||
-               A.rfind("--octagon-closure=", 0) == 0) {
-      std::string Val;
-      if (A == "--octagon-closure") {
-        auto V = NextValue("--octagon-closure");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--octagon-closure=").size());
-      }
-      std::optional<OctClosureMode> Mode;
-      if (Val == "full")
-        Mode = OctClosureMode::Full;
-      else if (Val == "incremental")
-        Mode = OctClosureMode::Incremental;
-      if (!Mode) {
-        Failf("astral-cli: error: --octagon-closure expects 'full' or "
-              "'incremental', got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.OctagonClosure = *Mode; });
     } else if (A == "--deadline-ms" || A.rfind("--deadline-ms=", 0) == 0) {
       std::string Val;
       if (A == "--deadline-ms") {
@@ -696,13 +529,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
     } else if (A == "--no-linearize") {
       Cli.FlagOps.push_back(
           [](AnalyzerOptions &O) { O.EnableLinearization = false; });
-    } else if (A == "--no-packing") {
-      WarnDeprecated(A, "--domains=interval,clocked");
-      Cli.FlagOps.push_back([](AnalyzerOptions &O) {
-        O.Domains.enable(DomainKind::Octagon, false);
-        O.Domains.enable(DomainKind::Ellipsoid, false);
-        O.Domains.enable(DomainKind::DecisionTree, false);
-      });
     } else if (A == "--no-thresholds") {
       Cli.FlagOps.push_back(
           [](AnalyzerOptions &O) { O.WideningWithThresholds = false; });

@@ -9,8 +9,8 @@
 /// The command-line surface of the analyzer, factored out of the astral-cli
 /// driver so the service daemon speaks exactly the same dialect:
 ///
-///  - parseArgs: the full flag grammar (--domains, --jobs, dispatch modes,
-///    deprecated aliases, environment specification) producing deferred
+///  - parseArgs: the full flag grammar (--domains, --jobs, the partition
+///    dispatch mode, environment specification) producing deferred
 ///    AnalyzerOptions mutations, applied after the input's @astral spec
 ///    directives so flags override directives — in ONE place.
 ///  - loadInputFiles / assembleOptions: file reading (with C++-harness
@@ -55,14 +55,11 @@ struct CliOptions {
 };
 
 /// Outcome of parseArgs. On !Ok, Error holds one formatted
-/// "astral-cli: error: ..." line (no trailing newline). Warnings (the
-/// deprecated-alias notices) are collected for the caller to route — stderr
-/// for the one-shot driver, the response's stderr field for the daemon.
+/// "astral-cli: error: ..." line (no trailing newline).
 struct ParseOutcome {
   bool Ok = true;
   bool ShowHelp = false;
   std::string Error;
-  std::vector<std::string> Warnings;
 };
 
 ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli);

@@ -11,7 +11,6 @@
 #include "analyzer/Options.h"
 #include "domains/Thresholds.h"
 #include "ir/Ir.h"
-#include "support/Hash128.h"
 
 #include <algorithm>
 
@@ -154,11 +153,6 @@ DomainState::Ptr OctagonState::refineIn(const ReductionChannel &In) const {
     N->Oct.meetVarInterval(Idx, I);
   });
   return N;
-}
-
-void OctagonState::repHash(support::Hash128 &H) const {
-  H.u8(static_cast<uint8_t>(DomainKind::Octagon));
-  Oct.hashRepr(H);
 }
 
 //===----------------------------------------------------------------------===//
@@ -508,25 +502,6 @@ DomainState::Ptr DecisionTreeState::refineIn(const ReductionChannel &In) const {
   return N;
 }
 
-void DecisionTreeState::repHash(support::Hash128 &H) const {
-  H.u8(static_cast<uint8_t>(DomainKind::DecisionTree));
-  H.u64(Tree.boolCells().size());
-  for (CellId C : Tree.boolCells())
-    H.u32(C);
-  H.u64(Tree.numCells().size());
-  for (CellId C : Tree.numCells())
-    H.u32(C);
-  H.u64(Tree.leafCount());
-  for (size_t L = 0; L < Tree.leafCount(); ++L) {
-    const DecisionTree::Leaf &Leaf = Tree.leaf(L);
-    H.boolean(Leaf.Reachable);
-    for (const Interval &I : Leaf.Nums) {
-      H.f64(I.Lo);
-      H.f64(I.Hi);
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // EllipsoidPackState
 //===----------------------------------------------------------------------===//
@@ -765,20 +740,6 @@ std::string EllipsoidPackState::toString() const {
   return Out;
 }
 
-void EllipsoidPackState::repHash(support::Hash128 &H) const {
-  H.u8(static_cast<uint8_t>(DomainKind::Ellipsoid));
-  H.boolean(Bot);
-  H.f64(Params.A);
-  H.f64(Params.B);
-  H.f64(Params.F);
-  H.u64(Map.K.size());
-  for (const auto &[Pair, K] : Map.K) {
-    H.u32(Pair.first);
-    H.u32(Pair.second);
-    H.f64(K);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Domain adapters
 //===----------------------------------------------------------------------===//
@@ -806,24 +767,21 @@ std::vector<PackId> sortedUnique(std::vector<PackId> Touched) {
 
 class OctagonDomain final : public RelationalDomain {
 public:
-  OctagonDomain(const Packing &Pk, OctClosureMode Mode,
-                std::shared_ptr<OctagonClosureStats> Stats)
-      : RelationalDomain(DomainKind::Octagon), Packs(Pk), Mode(Mode),
+  OctagonDomain(const Packing &Pk, std::shared_ptr<OctagonClosureStats> Stats)
+      : RelationalDomain(DomainKind::Octagon), Packs(Pk),
         ClosureStats(std::move(Stats)) {}
 
   size_t numPacks() const override { return Packs.OctPacks.size(); }
   const std::vector<PackId> &packsOf(CellId C) const override {
     return C < Packs.CellOct.size() ? Packs.CellOct[C] : noPacks();
   }
-  const std::vector<std::vector<PackId>> &cellPackIndex() const override {
-    return Packs.CellOct;
-  }
   size_t packCellCount(PackId P) const override {
     return Packs.OctPacks[P].Cells.size();
   }
   DomainState::Ptr topFor(PackId P) const override {
     return std::make_shared<OctagonState>(
-        Octagon(Packs.OctPacks[P].Cells, Mode, ClosureStats));
+        Octagon(Packs.OctPacks[P].Cells, OctClosureMode::Incremental,
+                ClosureStats));
   }
 
   std::vector<PackId> planGuard(RelGuard &G,
@@ -872,7 +830,6 @@ public:
 
 private:
   const Packing &Packs;
-  OctClosureMode Mode;
   std::shared_ptr<OctagonClosureStats> ClosureStats;
 };
 
@@ -884,9 +841,6 @@ public:
   size_t numPacks() const override { return Packs.TreePacks.size(); }
   const std::vector<PackId> &packsOf(CellId C) const override {
     return C < Packs.CellTree.size() ? Packs.CellTree[C] : noPacks();
-  }
-  const std::vector<std::vector<PackId>> &cellPackIndex() const override {
-    return Packs.CellTree;
   }
   size_t packCellCount(PackId P) const override {
     const TreePack &Pack = Packs.TreePacks[P];
@@ -936,9 +890,6 @@ public:
   size_t numPacks() const override { return Packs.EllPacks.size(); }
   const std::vector<PackId> &packsOf(CellId C) const override {
     return C < Packs.CellEll.size() ? Packs.CellEll[C] : noPacks();
-  }
-  const std::vector<std::vector<PackId>> &cellPackIndex() const override {
-    return Packs.CellEll;
   }
   size_t packCellCount(PackId P) const override {
     return Packs.EllPacks[P].Cells.size();
@@ -991,15 +942,10 @@ DomainRegistry::DomainRegistry(const Packing &Packs,
   // order): octagons, decision trees, ellipsoids.
   if (Opts.domainEnabled(DomainKind::Octagon)) {
     OctStats = std::make_shared<OctagonClosureStats>();
-    Add(std::make_unique<OctagonDomain>(Packs, Opts.OctagonClosure, OctStats));
+    Add(std::make_unique<OctagonDomain>(Packs, OctStats));
   }
   if (Opts.domainEnabled(DomainKind::DecisionTree))
     Add(std::make_unique<DecisionTreeDomain>(Packs));
   if (Opts.domainEnabled(DomainKind::Ellipsoid))
     Add(std::make_unique<EllipsoidDomain>(Packs));
-  // One pack-group plan per adapter, fixed for the registry's lifetime: the
-  // grouped transfer dispatch partitions every sweep against these tables.
-  Plans.reserve(Domains.size());
-  for (const std::unique_ptr<RelationalDomain> &D : Domains)
-    Plans.push_back(PackGroupPlan::build(D->numPacks(), D->cellPackIndex()));
 }

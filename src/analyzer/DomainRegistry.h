@@ -66,7 +66,6 @@ public:
   Ptr refineIn(const ReductionChannel &In) const override;
   bool hasRelationalInfo() const override { return Oct.hasRelationalInfo(); }
   std::string toString() const override { return Oct.toString(); }
-  void repHash(support::Hash128 &H) const override;
 
 private:
   Octagon Oct;
@@ -103,7 +102,6 @@ public:
     return Tree.hasRelationalInfo();
   }
   std::string toString() const override { return Tree.toString(); }
-  void repHash(support::Hash128 &H) const override;
 
 private:
   DecisionTree Tree;
@@ -139,7 +137,6 @@ public:
                   const DomainEvalContext &Ctx) const override;
   bool hasRelationalInfo() const override;
   std::string toString() const override;
-  void repHash(support::Hash128 &H) const override;
 
 private:
   EllipsoidState Map;
@@ -170,10 +167,6 @@ public:
   }
   /// Packs containing \p C (empty when none).
   virtual const std::vector<memory::PackId> &packsOf(CellId C) const = 0;
-  /// The dense cell -> packs index backing packsOf — the connectivity input
-  /// of the PackGroupPlan (packs sharing a cell must share a group).
-  virtual const std::vector<std::vector<memory::PackId>> &
-  cellPackIndex() const = 0;
   /// Number of cells in pack \p P (the per-domain pack census of the
   /// analysis report).
   virtual size_t packCellCount(memory::PackId P) const = 0;
@@ -214,11 +207,6 @@ public:
     return Index[static_cast<size_t>(K)];
   }
 
-  /// The pack-group plan of domain \p D (parallel transfer dispatch):
-  /// computed once at registry construction from the adapter's pack tables,
-  /// so every sweep of the analysis partitions against the same plan.
-  const PackGroupPlan &groupPlan(size_t D) const { return Plans[D]; }
-
   /// Per-registry (hence per-session) octagon closure work meter, shared by
   /// every octagon state the registry creates. Null when the octagon
   /// domain is not enabled.
@@ -228,7 +216,6 @@ public:
 
 private:
   std::vector<std::unique_ptr<RelationalDomain>> Domains;
-  std::vector<PackGroupPlan> Plans; ///< One per adapter, same indexing.
   std::array<int, NumDomainKinds> Index;
   std::shared_ptr<OctagonClosureStats> OctStats;
 };

@@ -8,7 +8,6 @@
 #include "analyzer/Iterator.h"
 
 #include "analyzer/Scheduler.h"
-#include "support/Hash128.h"
 
 #include <cassert>
 #include <memory>
@@ -97,9 +96,6 @@ Iterator::Iterator(const Program &Prog, const memory::CellLayout &L,
   Thr = Thresholds::fromValues(All);
   Thr.setEps(O.FloatPerturbation);
 
-  // One call-summary memo per analysis; worker clones alias it.
-  Memo = std::make_shared<CallMemo>();
-
   // Pre-compute each function's local cells for entry havoc.
   FuncLocalCells.resize(P.Functions.size());
   for (VarId V = 0; V < P.Vars.size(); ++V) {
@@ -183,12 +179,6 @@ void Iterator::recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
 }
 
 void Iterator::noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
-  // Journals record the effect's *arguments*, before the mode dispatch: a
-  // replay re-issues them through the replaying iterator's own context, so
-  // a summary recorded by a collect-mode worker folds correctly on the
-  // master and vice versa (the memo key need not cover the mode).
-  for (auto *J : InvariantJournals)
-    J->emplace_back(LoopId, Inv);
   if (CollectMode)
     PendingInvariants.emplace_back(LoopId, Inv);
   else
@@ -196,7 +186,7 @@ void Iterator::noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trace-partition dispatch (the third parallel grain)
+// Trace-partition dispatch
 //===----------------------------------------------------------------------===//
 
 struct Iterator::PartitionWorker {
@@ -212,7 +202,7 @@ Iterator::Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms)
       Stats(Parent.Stats), Alarms(WorkerAlarms), Thr(Parent.Thr),
       T(Parent.T, WorkerAlarms), PartitionDepth(Parent.PartitionDepth),
       CallDepth(Parent.CallDepth), FuncLocalCells(Parent.FuncLocalCells),
-      CollectMode(true), Memo(Parent.Memo) {
+      CollectMode(true) {
   // The inherited stack levels are the master's: mark them collect-only so
   // any break/continue/return crossing into them is buffered, never folded
   // into a worker-local accumulator (per-worker eager folds would not
@@ -258,23 +248,17 @@ void Iterator::mergeWorker(PartitionWorker &W) {
   for (size_t L = 0; L < CallStack.size() && L < W.Iter.CallStack.size(); ++L)
     foldPending(CallStack[L].ReturnAcc, W.Iter.CallStack[L].PendingReturns);
 
-  // Through noteLoopInvariant, not recordLoopInvariant directly: a call
-  // summary being recorded on this (master) iterator must capture the
-  // worker-surfaced invariants too.
   for (auto &[LoopId, Inv] : W.Iter.PendingInvariants)
     noteLoopInvariant(LoopId, Inv);
   W.Iter.PendingInvariants.clear();
 }
 
 Iterator::Disjunction Iterator::runPartitioned(
-    Disjunction D, DispatchGrain Grain,
+    Disjunction D,
     const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn) {
   const size_t N = D.size();
-  const bool Par =
-      Grain == DispatchGrain::Call
-          ? Opts.CallDispatch == CallDispatchMode::Parallel
-          : Opts.PartitionDispatch == PartitionDispatchMode::Parallel;
-  if (!Par || !Scheduler::wouldFanOut(N)) {
+  if (Opts.PartitionDispatch != PartitionDispatchMode::Parallel ||
+      !Scheduler::wouldFanOut(N)) {
     // The historical path: every partition inline, in partition order.
     Disjunction Out;
     for (AbstractEnv &E : D) {
@@ -285,15 +269,9 @@ Iterator::Disjunction Iterator::runPartitioned(
     return Out;
   }
 
-  if (Grain == DispatchGrain::Call) {
-    Stats.add("call_dispatch.dispatched", N);
-    if (N > MaxCallWidth)
-      MaxCallWidth = N;
-  } else {
-    Stats.add("parallel.partitions.dispatched", N);
-    if (N > MaxDispatchWidth)
-      MaxDispatchWidth = N;
-  }
+  Stats.add("parallel.partitions.dispatched", N);
+  if (N > MaxDispatchWidth)
+    MaxDispatchWidth = N;
 
   // Each partition gets its own worker context, built inside the task so
   // the clone cost parallelizes too. Workers read the master only through
@@ -356,22 +334,20 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
       D[0] = T.assign(std::move(D[0]), S->Lhs, S->Rhs);
       return D;
     }
-    return runPartitioned(std::move(D), DispatchGrain::Partition,
-                          [S](Iterator &W, AbstractEnv E) {
-                            Disjunction R;
-                            R.push_back(
-                                W.T.assign(std::move(E), S->Lhs, S->Rhs));
-                            return R;
-                          });
+    return runPartitioned(std::move(D), [S](Iterator &W, AbstractEnv E) {
+      Disjunction R;
+      R.push_back(W.T.assign(std::move(E), S->Lhs, S->Rhs));
+      return R;
+    });
   }
   case StmtKind::If: {
-    Disjunction Out = runPartitioned(std::move(D), DispatchGrain::Partition,
-                                     [S](Iterator &W, AbstractEnv E) {
-                                       Disjunction R;
-                                       W.T.checkCond(E, S->Cond);
-                                       W.execIf(S, std::move(E), R);
-                                       return R;
-                                     });
+    Disjunction Out =
+        runPartitioned(std::move(D), [S](Iterator &W, AbstractEnv E) {
+          Disjunction R;
+          W.T.checkCond(E, S->Cond);
+          W.execIf(S, std::move(E), R);
+          return R;
+        });
     capPartitions(Out);
     return Out;
   }
@@ -380,23 +356,16 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     return {execWhile(S, std::move(E))};
   }
   case StmtKind::Call: {
-    // The fourth grain: each environment of the disjunction inlines the
-    // callee independently (context-sensitive call contexts are the
-    // paper-sibling unit of the trace partitions), so the fan-out is gated
-    // on --call-dispatch, not --partition-dispatch.
-    Disjunction Out = runPartitioned(std::move(D), DispatchGrain::Call,
-                                     [S](Iterator &W, AbstractEnv E) {
-                                       Disjunction R;
-                                       R.push_back(
-                                           W.execCall(S, std::move(E)));
-                                       return R;
-                                     });
-    // Calls to partitioned functions may themselves create partitions;
-    // their merge already happened at the return point, so Out mirrors D —
-    // but the *call statement itself* multiplies nothing, and a partitioned
-    // caller can still arrive here over the cap, so cap like the If case.
-    capPartitions(Out);
-    return Out;
+    // Each environment of the disjunction inlines the callee in its own
+    // calling context (Sect. 5.4), in partition order. Calls to partitioned
+    // functions may themselves create partitions; their merge already
+    // happened at the return point, so D keeps its width — but the *call
+    // statement itself* multiplies nothing, and a partitioned caller can
+    // still arrive here over the cap, so cap like the If case.
+    for (AbstractEnv &E : D)
+      E = execCall(S, std::move(E));
+    capPartitions(D);
+    return D;
   }
   case StmtKind::Return: {
     assert(!CallStack.empty() && "return outside of any call");
@@ -577,74 +546,6 @@ AbstractEnv Iterator::execWhile(const Stmt *S, AbstractEnv Env) {
   return Out;
 }
 
-bool Iterator::memoEnabled() const {
-  return Opts.CallMemo && Opts.MemoryBudgetBytes == 0 && !T.Conc;
-}
-
-std::pair<uint64_t, uint64_t>
-Iterator::callMemoKey(const Stmt *S, const AbstractEnv &Env) const {
-  support::Hash128 H;
-  H.u32(S->Point);
-  H.u32(S->Callee);
-  H.u32(CallDepth);
-  H.boolean(PartitionDepth > 0);
-  H.boolean(T.Checking);
-
-  // The caller's ref-binding frame: bindRef resolves the callee's by-ref
-  // arguments through it, so the frame is callee-visible input. Bindings
-  // are stored root-resolved (absolute Base + access path), so the frame
-  // plus the environment fully determines every resolution in the callee.
-  if (!T.Frames.empty()) {
-    const auto &Frame = T.Frames.back();
-    H.u64(Frame.size());
-    for (const auto &[V, B] : Frame) {
-      H.u32(V);
-      H.u32(B.Base);
-      H.u64(B.Path.size());
-      for (const memory::ResolvedAccess &A : B.Path) {
-        H.u8(static_cast<uint8_t>(A.K));
-        H.u32(static_cast<uint32_t>(A.FieldIdx));
-        H.f64(A.Idx.Lo);
-        H.f64(A.Idx.Hi);
-      }
-    }
-  } else {
-    H.u64(0);
-  }
-
-  // The full abstract environment, representation-exact: cells (persistent
-  // map order is cell order, so the stream is canonical), the clock, and
-  // every relational pack state via DomainState::repHash.
-  H.boolean(Env.isBottom());
-  H.f64(Env.clock().Lo);
-  H.f64(Env.clock().Hi);
-  uint64_t Cells = 0;
-  Env.forEachCell([&](CellId C, const ScalarAbs &Sc) {
-    ++Cells;
-    H.u32(C);
-    H.f64(Sc.Itv.Lo);
-    H.f64(Sc.Itv.Hi);
-    H.f64(Sc.Clk.MinusClk.Lo);
-    H.f64(Sc.Clk.MinusClk.Hi);
-    H.f64(Sc.Clk.PlusClk.Lo);
-    H.f64(Sc.Clk.PlusClk.Hi);
-  });
-  H.u64(Cells);
-  for (size_t D = 0; D < Reg.size(); ++D) {
-    uint64_t Packs = 0;
-    Env.forEachRel(D, [&](memory::PackId Id, const DomainState::Ptr &St) {
-      ++Packs;
-      H.u32(Id);
-      if (St)
-        St->repHash(H);
-      else
-        H.u8(0xFF);
-    });
-    H.u64(Packs);
-  }
-  return H.digest();
-}
-
 AbstractEnv Iterator::execCall(const Stmt *S, AbstractEnv Env) {
   if (Env.isBottom())
     return Env;
@@ -656,84 +557,8 @@ AbstractEnv Iterator::execCall(const Stmt *S, AbstractEnv Env) {
       Env = T.assign(std::move(Env), *S->RetTo, nullptr);
     return Env;
   }
-  // Counts the *call context*, memo hit or not — the meter is "contexts
-  // analyzed polyvariantly", and a hit substitutes a full analysis.
   Stats.add("iterator.calls_inlined");
 
-  if (!memoEnabled())
-    return inlineCall(S, F, std::move(Env));
-
-  const std::pair<uint64_t, uint64_t> Key = callMemoKey(S, Env);
-  std::shared_ptr<const CallSummary> Hit;
-  {
-    std::lock_guard<std::mutex> L(Memo->Mu);
-    auto It = Memo->Map.find(Key);
-    if (It != Memo->Map.end())
-      Hit = It->second;
-  }
-  if (Hit) {
-    Stats.add("iterator.call_memo_hits");
-    // Replay the recorded effects in their original order. Alarms re-issue
-    // through report() (feeding any outer recording on this set too);
-    // alarms.reported meters the replays like generation did.
-    uint64_t Reported = 0;
-    for (const AlarmReport &R : Hit->Alarms)
-      Reported += R.Times;
-    if (Reported)
-      Stats.add("alarms.reported", Reported);
-    Alarms.replay(Hit->Alarms);
-    for (const auto &[LoopId, Inv] : Hit->Invariants)
-      noteLoopInvariant(LoopId, Inv);
-    for (size_t D = 0;
-         D < Hit->ImprovedDelta.size() && D < T.RelPackImproved.size(); ++D)
-      for (size_t Pk = 0; Pk < Hit->ImprovedDelta[D].size() &&
-                          Pk < T.RelPackImproved[D].size();
-           ++Pk)
-        T.RelPackImproved[D][Pk] |= Hit->ImprovedDelta[D][Pk];
-    return Hit->Out;
-  }
-  Stats.add("iterator.call_memo_misses");
-
-  // Record: journal every externally visible effect of the inlining. The
-  // improved-flags delta is snapshot-diffed (the flags are monotone, so the
-  // diff is exact); alarms and invariants are argument journals because
-  // their sinks deduplicate/fold and a before/after diff could not
-  // reconstruct the effect sequence.
-  auto Sum = std::make_shared<CallSummary>();
-  const std::vector<std::vector<uint8_t>> ImprovedBefore = T.RelPackImproved;
-  Alarms.pushJournal(&Sum->Alarms);
-  InvariantJournals.push_back(&Sum->Invariants);
-  AbstractEnv Out;
-  try {
-    Out = inlineCall(S, F, std::move(Env));
-  } catch (...) {
-    InvariantJournals.pop_back();
-    Alarms.popJournal();
-    throw;
-  }
-  InvariantJournals.pop_back();
-  Alarms.popJournal();
-
-  Sum->ImprovedDelta.resize(T.RelPackImproved.size());
-  for (size_t D = 0; D < T.RelPackImproved.size(); ++D) {
-    Sum->ImprovedDelta[D].assign(T.RelPackImproved[D].size(), 0);
-    for (size_t Pk = 0; Pk < T.RelPackImproved[D].size(); ++Pk)
-      if (T.RelPackImproved[D][Pk] &&
-          (Pk >= ImprovedBefore[D].size() || !ImprovedBefore[D][Pk]))
-        Sum->ImprovedDelta[D][Pk] = 1;
-  }
-  Sum->Out = Out;
-  {
-    // First publication wins; concurrent workers recording the same key
-    // computed byte-equivalent summaries, so dropping the loser is benign.
-    std::lock_guard<std::mutex> L(Memo->Mu);
-    Memo->Map.try_emplace(Key, std::move(Sum));
-  }
-  return Out;
-}
-
-AbstractEnv Iterator::inlineCall(const Stmt *S, const Function *F,
-                                 AbstractEnv Env) {
   // Evaluate arguments in the caller's context.
   std::vector<Interval> ValueArgs(S->Args.size(), Interval::bottom());
   std::map<VarId, RefBinding> NewFrame;

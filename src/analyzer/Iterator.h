@@ -25,10 +25,6 @@
 #include "domains/Thresholds.h"
 
 #include <map>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 
 namespace astral {
 
@@ -62,11 +58,6 @@ public:
   /// `parallel.partitions.max_width` census of AnalysisSession.
   size_t maxPartitionDispatchWidth() const { return MaxDispatchWidth; }
 
-  /// Widest call-site disjunction the call-context dispatch actually fanned
-  /// out (0 when every call ran inline) — the `parallel.calls.max_width`
-  /// census of AnalysisSession.
-  size_t maxCallDispatchWidth() const { return MaxCallWidth; }
-
 private:
   /// Trace partitions: a disjunction of environments (Sect. 7.1.5). Size 1
   /// unless inside a partitioned function.
@@ -77,10 +68,6 @@ private:
   void execIf(const ir::Stmt *S, AbstractEnv Env, Disjunction &Out);
   AbstractEnv execWhile(const ir::Stmt *S, AbstractEnv Env);
   AbstractEnv execCall(const ir::Stmt *S, AbstractEnv Env);
-  /// The inlining proper (arg binding, local havoc, body, return plumbing)
-  /// — the region the call-summary memo records and replays around.
-  AbstractEnv inlineCall(const ir::Stmt *S, const ir::Function *F,
-                         AbstractEnv Env);
   /// One abstract iteration of a loop body (body, continue-join, step).
   AbstractEnv execLoopBody(const ir::Stmt *W, AbstractEnv Env);
   /// Widening/narrowing fixpoint (Fixpoint.cpp).
@@ -90,17 +77,10 @@ private:
   AbstractEnv joinAll(Disjunction D);
   unsigned unrollFactor(uint32_t LoopId) const;
 
-  // -- Partition / call dispatch (the third and fourth parallel grains) ----
+  // -- Trace-partition dispatch -------------------------------------------
   /// One partition worker's context: a private alarm buffer and a
   /// sub-Iterator clone whose shared stack levels only collect.
   struct PartitionWorker;
-
-  /// Which option gates a runPartitioned fan-out and which census it feeds:
-  /// the trace-partition grain (Assign/If per-partition loops,
-  /// --partition-dispatch) or the call-context grain (the Call loop,
-  /// --call-dispatch). Both grains share the worker-clone + collect-only
-  /// accumulator + replay-merge machinery.
-  enum class DispatchGrain : uint8_t { Partition, Call };
 
   /// Worker clone: shares the immutable inputs and the thread-safe
   /// Statistics, buffers alarms in \p WorkerAlarms, and marks every stack
@@ -110,15 +90,15 @@ private:
   Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms);
 
   /// Runs \p Fn over every environment of \p D — the per-partition loops of
-  /// execStmt (Assign, If fan-out, Call) — fanning the partitions out over
-  /// the ambient Scheduler when \p Grain's dispatch option says par, inline
-  /// in partition order otherwise. The per-partition result disjunctions
-  /// are concatenated in partition order, and every worker side effect
-  /// (alarms, accumulator folds, loop invariants, pack-usefulness flags)
-  /// is replayed in the exact sequential operation sequence, so the
-  /// parallel path is byte-identical to the historical loop.
+  /// execStmt (Assign, If fan-out) — fanning the partitions out over the
+  /// ambient Scheduler under --partition-dispatch=par, inline in partition
+  /// order otherwise. The per-partition result disjunctions are
+  /// concatenated in partition order, and every worker side effect (alarms,
+  /// accumulator folds, loop invariants, pack-usefulness flags) is replayed
+  /// in the exact sequential operation sequence, so the parallel path is
+  /// byte-identical to the historical loop.
   Disjunction
-  runPartitioned(Disjunction D, DispatchGrain Grain,
+  runPartitioned(Disjunction D,
                  const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn);
 
   /// Replays one worker's buffered effects onto this (master) iterator.
@@ -137,59 +117,9 @@ private:
   /// sibling contexts).
   void recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
 
-  /// The single loop-invariant effect choke point: feeds every active
-  /// call-summary recording, then buffers (collect mode) or folds (master)
-  /// exactly as the historical dispatch did. All invariant surfacing —
-  /// execWhile's own recording and mergeWorker's pending replay — goes
-  /// through here so a memo recording never misses an effect.
+  /// Surfaces a loop invariant: buffered in PendingInvariants on a
+  /// partition worker (collect mode), folded into LoopInvariants otherwise.
   void noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
-
-  // -- Call-summary memo (the fourth grain's companion) --------------------
-  /// One recorded inlining: the output environment plus every externally
-  /// visible side effect of the inlined body, replayable in order. Stored
-  /// behind shared_ptr<const> — read-only after publication, shared across
-  /// worker clones.
-  struct CallSummary {
-    AbstractEnv Out;
-    AlarmJournal Alarms;
-    std::vector<std::pair<uint32_t, AbstractEnv>> Invariants;
-    /// Pack-usefulness flags the inlining newly set (monotone OR delta).
-    std::vector<std::vector<uint8_t>> ImprovedDelta;
-  };
-
-  struct MemoKeyHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t> &K) const {
-      return static_cast<size_t>(K.first ^
-                                 (K.second * 0x9e3779b97f4a7c15ull));
-    }
-  };
-
-  /// The per-analysis memo map, shared by the master and every worker clone
-  /// (first publication wins; all publications for one key are
-  /// byte-equivalent, so the race is benign). Keyed by the 128-bit digest
-  /// of the exact callee-visible input — see callMemoKey.
-  struct CallMemo {
-    std::mutex Mu;
-    std::unordered_map<std::pair<uint64_t, uint64_t>,
-                       std::shared_ptr<const CallSummary>, MemoKeyHash>
-        Map;
-  };
-
-  /// Whether execCall may consult/record the memo: on by option, off under
-  /// a memory budget (retained summaries would perturb the deterministic
-  /// memtrack live figure the degradation ladder compares against) and off
-  /// in the interference rounds (per-load interference recording is a side
-  /// effect the summary cannot capture).
-  bool memoEnabled() const;
-
-  /// Exact 128-bit fingerprint of everything the inlining of \p S from
-  /// \p Env can read: call site, callee, call depth, partition context,
-  /// checking mode, the caller's ref-binding frame, and the full abstract
-  /// environment representation (cells, clock, every relational state via
-  /// DomainState::repHash). Equal keys imply bitwise-identical inputs, so
-  /// the recorded output/effects substitute exactly.
-  std::pair<uint64_t, uint64_t> callMemoKey(const ir::Stmt *S,
-                                            const AbstractEnv &Env) const;
 
   const ir::Program &P;
   const memory::CellLayout &Layout;
@@ -232,17 +162,6 @@ private:
   std::vector<std::pair<uint32_t, AbstractEnv>> PendingInvariants;
   /// Widest disjunction actually fanned out (master-thread only).
   size_t MaxDispatchWidth = 0;
-  /// Widest call-site disjunction actually fanned out (master-thread only).
-  size_t MaxCallWidth = 0;
-
-  /// The shared call-summary memo (null only before construction finishes);
-  /// worker clones alias the master's map.
-  std::shared_ptr<CallMemo> Memo;
-  /// Active call-summary recordings on *this* iterator, innermost last:
-  /// noteLoopInvariant feeds every level, so nested recordings each capture
-  /// the invariants their region surfaced.
-  std::vector<std::vector<std::pair<uint32_t, AbstractEnv>> *>
-      InvariantJournals;
 };
 
 } // namespace astral

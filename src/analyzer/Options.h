@@ -19,7 +19,6 @@
 #define ASTRAL_ANALYZER_OPTIONS_H
 
 #include "domains/Interval.h"
-#include "domains/Octagon.h"
 #include "domains/RelationalDomain.h"
 
 #include <map>
@@ -30,19 +29,9 @@
 
 namespace astral {
 
-/// Within-file dispatch of the channel-feeding transfer sweeps
-/// (Transfer::relationalAssign, the relational guard paths):
-///  - Sequential: the historical reduction chain, every pack in slot order.
-///  - Groups: disjoint pack groups of the PackGroupPlan fan out over the
-///    ambient Scheduler; each worker chains its own group against a
-///    snapshot of the pre-sweep environment, and a deterministic merge
-///    (with conflict recomputation) folds the buffered channels back, so
-///    reports stay byte-identical to the sequential chain.
-enum class PackDispatchMode : uint8_t { Sequential, Groups };
-
 /// Partition-level dispatch of the Iterator's per-partition statement loops
-/// (Assign, If fan-out, Call) — the analyzer's third, coarsest parallel
-/// grain:
+/// (Assign and If fan-out inside `@astral partition` functions) — the one
+/// within-file grain that fans whole environments out:
 ///  - Sequential: the historical path, every partition of the disjunction
 ///    in partition order on the calling thread.
 ///  - Parallel: the disjunction's environments fan out over the ambient
@@ -52,18 +41,6 @@ enum class PackDispatchMode : uint8_t { Sequential, Groups };
 ///    replays every buffered effect in partition order — the exact
 ///    sequential operation sequence, so reports stay byte-identical.
 enum class PartitionDispatchMode : uint8_t { Sequential, Parallel };
-
-/// Call-context dispatch of the Iterator's per-partition Call loops — the
-/// analyzer's fourth parallel grain, the call-context sibling of the trace
-/// partitions (Monniaux's parallel Astrée unit of work):
-///  - Sequential: the historical path, every environment of the call site's
-///    disjunction inlines the callee on the calling thread, in order.
-///  - Parallel: a call site reached from a multi-env disjunction fans the
-///    per-environment callee inlinings out over the ambient Scheduler,
-///    through the same worker-clone + collect-only accumulator + replay
-///    merge machinery as the partition dispatch, so reports stay
-///    byte-identical to the sequential loop.
-enum class CallDispatchMode : uint8_t { Sequential, Parallel };
 
 struct AnalyzerOptions {
   // -- Abstract domain selection (Sect. 6.2; the refinement sequence of the
@@ -76,14 +53,6 @@ struct AnalyzerOptions {
 
   bool EnableLinearization = true; ///< Symbolic linearization (6.3) — an
                                    ///< expression rewrite, not a domain.
-
-  /// Octagon closure discipline (--octagon-closure=full|incremental):
-  /// incremental closure propagates only through the dirty rows/columns of
-  /// a pack's DBM (O((2k)^2) per touched variable) instead of re-running
-  /// the full Floyd-Warshall sweep (O((2k)^3)) after every transfer. Both
-  /// modes compute the same canonical closure; `full` is kept for
-  /// differential benching.
-  OctClosureMode OctagonClosure = OctClosureMode::Incremental;
 
   // -- Widening / iteration strategy (Sect. 5.5, 7.1) -----------------------
   bool WideningWithThresholds = true; ///< Off = plain interval widening.
@@ -143,15 +112,6 @@ struct AnalyzerOptions {
   /// itself and are outside that guarantee.
   unsigned Jobs = 1;
 
-  /// Dispatch of the within-file transfer sweeps (--pack-dispatch=
-  /// seq|groups, `@astral pack-dispatch`). Groups (the default) fans the
-  /// disjoint pack groups of the PackGroupPlan out over the scheduler;
-  /// Sequential keeps the historical single-chain path selectable for
-  /// differential benching. Both modes produce identical reports; with
-  /// Jobs == 1 there is no pool to fan out over and Groups degrades to the
-  /// sequential chain.
-  PackDispatchMode PackDispatch = PackDispatchMode::Groups;
-
   /// Dispatch of the Iterator's per-partition loops (--partition-dispatch=
   /// seq|par, `@astral partition-dispatch`). Parallel (the default) fans
   /// trace partitions out over the scheduler inside `@astral partition`
@@ -160,28 +120,6 @@ struct AnalyzerOptions {
   /// reports; with Jobs == 1 there is no pool and Parallel degrades to the
   /// sequential loop.
   PartitionDispatchMode PartitionDispatch = PartitionDispatchMode::Parallel;
-
-  /// Dispatch of the Iterator's per-partition call inlinings
-  /// (--call-dispatch=seq|par, `@astral call-dispatch`). Parallel (the
-  /// default) fans the independent call contexts of a multi-env call site
-  /// out over the scheduler; Sequential keeps the historical loop
-  /// selectable for differential benching. Both modes produce identical
-  /// reports; with Jobs == 1 there is no pool and Parallel degrades to the
-  /// sequential loop.
-  CallDispatchMode CallDispatch = CallDispatchMode::Parallel;
-
-  /// Per-analysis call-summary memo (--call-memo=on|off, `@astral
-  /// call-memo`): execCall consults a map from an exact 128-bit fingerprint
-  /// of the callee-visible input (callee id, call depth, caller ref-binding
-  /// frame, the full abstract environment's representation) to the cached
-  /// output environment plus the recorded alarm/invariant effects, so
-  /// stabilized fixpoint iterations skip byte-identical re-execution of
-  /// unchanged call contexts. Hits replay the recorded effects in order —
-  /// reports stay byte-identical to the memo-off run. Disabled
-  /// automatically under a memory budget: retained summaries would keep
-  /// abstract-state nodes alive in the deterministic live figure the
-  /// degradation ladder compares against.
-  bool CallMemo = true;
 
   // -- Resource governance (deadlines + memory budgets) -------------------------
   /// Wall-clock deadline for the abstract-execution phase, in milliseconds;

@@ -570,75 +570,6 @@ struct PackBuilder {
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// PackGroupPlan
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Plain union-find over dense pack ids (path halving + union by rank).
-struct UnionFind {
-  std::vector<uint32_t> Parent;
-  std::vector<uint8_t> Rank;
-
-  explicit UnionFind(size_t N) : Parent(N), Rank(N, 0) {
-    for (size_t I = 0; I < N; ++I)
-      Parent[I] = static_cast<uint32_t>(I);
-  }
-
-  uint32_t find(uint32_t X) {
-    while (Parent[X] != X) {
-      Parent[X] = Parent[Parent[X]];
-      X = Parent[X];
-    }
-    return X;
-  }
-
-  void unite(uint32_t A, uint32_t B) {
-    A = find(A);
-    B = find(B);
-    if (A == B)
-      return;
-    if (Rank[A] < Rank[B])
-      std::swap(A, B);
-    Parent[B] = A;
-    if (Rank[A] == Rank[B])
-      ++Rank[A];
-  }
-};
-
-} // namespace
-
-PackGroupPlan
-PackGroupPlan::build(size_t NumPacks,
-                     const std::vector<std::vector<memory::PackId>> &CellPacks) {
-  PackGroupPlan Plan;
-  UnionFind UF(NumPacks);
-  // Every pack listed under one cell shares that cell: union them all with
-  // the first. Transitive chains (A shares x with B, B shares y with C)
-  // merge through repeated cells, so each final root is one connected
-  // component of the shared-cell graph.
-  for (const std::vector<memory::PackId> &Packs : CellPacks)
-    for (size_t I = 1; I < Packs.size(); ++I)
-      UF.unite(Packs[0], Packs[I]);
-
-  // Dense group ids in order of smallest member pack (iteration in pack
-  // order assigns a component its id at the first member seen), packs
-  // ascending within each group — the deterministic merge order.
-  Plan.GroupOf.resize(NumPacks);
-  std::vector<uint32_t> RootGroup(NumPacks, UINT32_MAX);
-  for (uint32_t P = 0; P < NumPacks; ++P) {
-    uint32_t Root = UF.find(P);
-    if (RootGroup[Root] == UINT32_MAX) {
-      RootGroup[Root] = static_cast<uint32_t>(Plan.Groups.size());
-      Plan.Groups.emplace_back();
-    }
-    Plan.GroupOf[P] = RootGroup[Root];
-    Plan.Groups[RootGroup[Root]].push_back(P);
-  }
-  return Plan;
-}
-
 void Packing::index(size_t NumCells) {
   CellOct.assign(NumCells, {});
   CellTree.assign(NumCells, {});

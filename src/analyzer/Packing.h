@@ -53,48 +53,6 @@ struct EllPack {
   std::vector<CellId> Cells; ///< Filter site variables (X', X, Y).
 };
 
-/// The pack-group plan of the parallel transfer dispatch (the Monniaux
-/// direction at the within-file grain): a partition of one domain's packs
-/// into groups closed under shared-cell connectivity — two packs sharing any
-/// cell land in the same group (union-find over pack membership), and so do
-/// packs transitively connected through a chain of shared cells. Because a
-/// pack's reduction channel only ever publishes facts about the pack's own
-/// cells, no two *groups* can exchange facts within one transfer sweep; the
-/// iterator may therefore dispatch whole groups to scheduler workers and
-/// fold their buffered channels back deterministically. Computed once per
-/// analysis, alongside the packs themselves ("determined once and for all,
-/// before the analysis starts").
-///
-/// Determinism contract: group ids are dense and ordered by their smallest
-/// member pack id, and each group lists its packs ascending — the plan is a
-/// pure function of the pack tables, identical across runs, jobs values and
-/// dispatch modes.
-struct PackGroupPlan {
-  /// Group id of each pack (dense, 0 .. numGroups()-1).
-  std::vector<uint32_t> GroupOf;
-  /// Member packs of each group, ascending (the sequential slot order).
-  std::vector<std::vector<memory::PackId>> Groups;
-
-  size_t numGroups() const { return Groups.size(); }
-  /// A plan with at most one group cannot fan anything out; dispatch sites
-  /// short-circuit to the sequential chain.
-  bool trivial() const { return Groups.size() <= 1; }
-  size_t largestGroup() const {
-    size_t Max = 0;
-    for (const std::vector<memory::PackId> &G : Groups)
-      Max = std::max(Max, G.size());
-    return Max;
-  }
-
-  /// Builds the plan for \p NumPacks packs from the dense cell -> packs
-  /// index (every pack listed under each of its member cells). A connected
-  /// component is never split: all packs reachable through shared cells end
-  /// up in one group.
-  static PackGroupPlan
-  build(size_t NumPacks,
-        const std::vector<std::vector<memory::PackId>> &CellPacks);
-};
-
 class Packing {
 public:
   /// Determines all packs for \p P ("packs are determined once and for all,

@@ -99,14 +99,14 @@ public:
   /// never disagree.
   static bool wouldFanOut(size_t NumGroups);
 
-  /// Grouped fan-out for the pack-group and trace-partition dispatches:
+  /// Grouped fan-out for the trace-partition dispatch and the thread rounds:
   /// runs F(0) .. F(NumGroups-1) — one independent work *group* each,
-  /// carrying its own state (environment snapshot, channel buffer, worker
-  /// iteration context) — through the ambient scheduler when wouldFanOut
-  /// holds, inline in index order otherwise. Callers apply the per-group
-  /// results in deterministic order afterwards, exactly as with
-  /// parallelFor slots. Returns whether the groups actually fanned out
-  /// (the work-metering census of the dispatch counters).
+  /// carrying its own state (worker iteration context, thread run) —
+  /// through the ambient scheduler when wouldFanOut holds, inline in index
+  /// order otherwise. Callers apply the per-group results in deterministic
+  /// order afterwards, exactly as with parallelFor slots. Returns whether
+  /// the groups actually fanned out (the work-metering census of the
+  /// dispatch counters).
   static bool runGroups(size_t NumGroups, const std::function<void(size_t)> &F);
 
   /// Upper bound on any pool's concurrency — a `@astral jobs` directive or

@@ -104,36 +104,11 @@ astral::applySpecDirectives(const std::string &Source, AnalyzerOptions &Opts) {
           Opts.DefaultUnroll = N;
         else
           Malformed("unroll", "<n>");
-      } else if (Kind == "octagon-closure") {
-        // Closure discipline travels with the input like any other
-        // parametrization. Both modes produce identical reports, so a
-        // checked-in spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "full")
-          Opts.OctagonClosure = OctClosureMode::Full;
-        else if (ModeName == "incremental")
-          Opts.OctagonClosure = OctClosureMode::Incremental;
-        else
-          Malformed("octagon-closure", "<full|incremental>");
-      } else if (Kind == "pack-dispatch") {
-        // Transfer-sweep dispatch travels with the input like the closure
-        // discipline. Both modes produce identical reports (the grouped
-        // merge recomputes conflicting slots), so a checked-in spec cannot
-        // make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "seq")
-          Opts.PackDispatch = PackDispatchMode::Sequential;
-        else if (ModeName == "groups")
-          Opts.PackDispatch = PackDispatchMode::Groups;
-        else
-          Malformed("pack-dispatch", "<seq|groups>");
       } else if (Kind == "partition-dispatch") {
-        // Trace-partition dispatch travels with the input like the
-        // pack-dispatch mode. Both modes produce identical reports (the
-        // partition merge replays every worker effect in partition order),
-        // so a checked-in spec cannot make a golden run diverge.
+        // Trace-partition dispatch travels with the input like the jobs
+        // count. Both modes produce identical reports (the partition merge
+        // replays every worker effect in partition order), so a checked-in
+        // spec cannot make a golden run diverge.
         std::string ModeName;
         Dir >> ModeName;
         if (ModeName == "seq")
@@ -142,32 +117,6 @@ astral::applySpecDirectives(const std::string &Source, AnalyzerOptions &Opts) {
           Opts.PartitionDispatch = PartitionDispatchMode::Parallel;
         else
           Malformed("partition-dispatch", "<seq|par>");
-      } else if (Kind == "call-dispatch") {
-        // Call-context dispatch travels with the input like the
-        // partition-dispatch mode. Both modes produce identical reports
-        // (the call merge replays every worker effect in sequential call
-        // order), so a checked-in spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "seq")
-          Opts.CallDispatch = CallDispatchMode::Sequential;
-        else if (ModeName == "par")
-          Opts.CallDispatch = CallDispatchMode::Parallel;
-        else
-          Malformed("call-dispatch", "<seq|par>");
-      } else if (Kind == "call-memo") {
-        // The call-summary memo is a pure work-avoidance cache: a hit
-        // replays the recorded output and effects of a bitwise-identical
-        // inlining, so reports are identical either way and a checked-in
-        // spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "on")
-          Opts.CallMemo = true;
-        else if (ModeName == "off")
-          Opts.CallMemo = false;
-        else
-          Malformed("call-memo", "<on|off>");
       } else if (Kind == "jobs") {
         // Execution policy travels with the input (0 = one worker per
         // hardware thread). Reports stay byte-identical for any value, so a

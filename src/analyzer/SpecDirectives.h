@@ -18,7 +18,7 @@
 ///      @astral unroll 2
 ///      @astral domains interval,clocked,octagon,tree,ellipsoid
 ///      @astral jobs 4
-///      @astral pack-dispatch groups
+///      @astral partition-dispatch par
 ///      @astral thread sampler sample_loop
 ///      @astral entry main */
 ///

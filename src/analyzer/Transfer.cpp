@@ -9,7 +9,6 @@
 
 #include "analyzer/Scheduler.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace astral;
@@ -49,72 +48,6 @@ public:
 private:
   Transfer &T;
   const AbstractEnv &Env;
-};
-
-/// The grouped sweep's speculative-worker context: same services as
-/// TransferEvalContext, but additionally records every cell whose current
-/// abstraction the domain evaluation may have consulted (a conservative,
-/// expression-structural superset of the actual reads). The merge then
-/// breaks a group's buffered results only when a cross-group tightening
-/// hits that group's recorded read set — the sharpened conflict rule —
-/// instead of breaking every group on any tightening of the request's
-/// static read set.
-class RecordingEvalContext final : public DomainEvalContext {
-public:
-  RecordingEvalContext(Transfer &T, const AbstractEnv &Env,
-                       std::vector<CellId> &Reads)
-      : T(T), Env(Env), Reads(Reads) {}
-
-  Interval cellInterval(CellId C) const override {
-    Reads.push_back(C);
-    return Env.cellInterval(C);
-  }
-  Interval eval(const Expr *E, const CellOverlay *Overlay) const override {
-    recordLoads(E);
-    return T.evalNoCheck(Env, E, Overlay);
-  }
-  LinearForm linearize(const Expr *E) const override {
-    recordLoads(E);
-    return T.linearize(Env, E);
-  }
-  CellId strongLoadCell(const Expr *E) const override {
-    if (!E || !E->is(ExprKind::Load))
-      return NoCellId;
-    recordLoads(E);
-    CellSel Sel = T.resolveLValue(Env, E->Lv, /*Report=*/false);
-    return Sel.Strong && Sel.Count == 1 ? Sel.First : NoCellId;
-  }
-
-private:
-  void recordLoads(const Expr *E) const {
-    if (!E)
-      return;
-    switch (E->Kind) {
-    case ExprKind::Load: {
-      for (const Access &A : E->Lv.Path)
-        if (A.K == Access::Kind::Index)
-          recordLoads(A.Index);
-      CellSel Sel = T.resolveLValue(Env, E->Lv, /*Report=*/false);
-      for (CellId C = Sel.First; C < Sel.First + Sel.Count; ++C)
-        Reads.push_back(C);
-      return;
-    }
-    case ExprKind::Unary:
-    case ExprKind::Cast:
-      recordLoads(E->A);
-      return;
-    case ExprKind::Binary:
-      recordLoads(E->A);
-      recordLoads(E->B);
-      return;
-    default:
-      return;
-    }
-  }
-
-  Transfer &T;
-  const AbstractEnv &Env;
-  std::vector<CellId> &Reads;
 };
 
 } // namespace astral
@@ -596,8 +529,7 @@ Interval Transfer::evalExpr(const AbstractEnv &Env, const Expr *E,
 //===----------------------------------------------------------------------===//
 
 void Transfer::applyChannel(AbstractEnv &Env, size_t D, PackId Pack,
-                            const ReductionChannel &Ch,
-                            const std::function<void(CellId)> *ChangedSink) {
+                            const ReductionChannel &Ch) {
   Ch.forEachStat([&](const char *Key, uint64_t N) { Stats.add(Key, N); });
   auto NoteImproved = [&] {
     if (D < RelPackImproved.size() && Pack < RelPackImproved[D].size())
@@ -610,234 +542,27 @@ void Transfer::applyChannel(AbstractEnv &Env, size_t D, PackId Pack,
   }
   Ch.forEachFact([&](CellId C, const Interval &I) {
     // Bottom meets (transient inconsistencies) keep the cell value (sound).
-    if (Env.meetCellInterval(C, I)) {
+    if (Env.meetCellInterval(C, I))
       NoteImproved();
-      if (ChangedSink)
-        (*ChangedSink)(C);
-    }
   });
 }
 
 //===----------------------------------------------------------------------===//
-// Pack-group parallel transfer dispatch
+// Channel-feeding pack sweeps
 //===----------------------------------------------------------------------===//
-
-std::vector<CellId> Transfer::collectSweepReadSet(
-    const AbstractEnv &Env, std::initializer_list<const Expr *> Exprs,
-    std::initializer_list<const LinearForm *> Forms) {
-  std::vector<CellId> Out;
-  std::function<void(const Expr *)> Walk = [&](const Expr *E) {
-    if (!E)
-      return;
-    switch (E->Kind) {
-    case ExprKind::Load: {
-      for (const Access &A : E->Lv.Path)
-        if (A.K == Access::Kind::Index)
-          Walk(A.Index);
-      CellSel Sel = resolveLValue(Env, E->Lv, /*Report=*/false);
-      for (CellId C = Sel.First; C < Sel.First + Sel.Count; ++C)
-        Out.push_back(C);
-      return;
-    }
-    case ExprKind::Unary:
-    case ExprKind::Cast:
-      Walk(E->A);
-      return;
-    case ExprKind::Binary:
-      Walk(E->A);
-      Walk(E->B);
-      return;
-    default:
-      return;
-    }
-  };
-  for (const Expr *E : Exprs)
-    Walk(E);
-  for (const LinearForm *F : Forms)
-    if (F && F->valid())
-      for (const auto &[C, Coef] : F->terms())
-        Out.push_back(C);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
 
 Transfer::SweepResult
 Transfer::runPackSweep(AbstractEnv &Env, size_t D,
                        const std::vector<PackId> &Touched, const SweepOp &Op,
-                       bool StopOnBottom,
-                       std::initializer_list<const Expr *> ReadExprs,
-                       std::initializer_list<const LinearForm *> ReadForms) {
-  if (Touched.empty())
-    return SweepResult::Ok;
-
+                       bool StopOnBottom) {
   // These sweeps are *reduction chains*, not index spaces: each pack
   // evaluates under the cells already refined by the channels of the packs
   // before it, and that feed carries measurable precision on the program
-  // family (overlapping octagon packs). Per-slot fan-out is therefore
-  // unsound for precision; the parallel unit is the PackGroupPlan *group* —
-  // packs connected through shared cells stay on one worker, in slot
-  // order, and only whole groups run concurrently. Closure stays the
-  // adapters' business: a state published by assignCell is closed exactly
-  // once, on demand through the domain's cached entry point (Octagon::close
-  // and its dirty-tracked incremental discipline), so this layer never
-  // closes defensively between slots.
-  Scheduler *Sch = Scheduler::ambient();
-  if (Opts.PackDispatch == PackDispatchMode::Groups && Touched.size() >= 2 &&
-      Sch && Sch->concurrency() > 1 && !Scheduler::inWorkerTask()) {
-    const PackGroupPlan &Plan = Reg.groupPlan(D);
-    // Partition the touched packs by plan group. Touched is ascending, so
-    // each group's slot list is ascending and groups appear in order of
-    // their smallest touched pack — the deterministic dispatch order.
-    std::vector<uint32_t> GroupIds;
-    std::vector<std::vector<PackId>> Groups;
-    std::vector<std::pair<uint32_t, uint32_t>> Where(Touched.size());
-    for (size_t T = 0; T < Touched.size(); ++T) {
-      uint32_t G = Plan.GroupOf[Touched[T]];
-      size_t Slot = 0;
-      while (Slot < GroupIds.size() && GroupIds[Slot] != G)
-        ++Slot;
-      if (Slot == GroupIds.size()) {
-        GroupIds.push_back(G);
-        Groups.emplace_back();
-      }
-      Where[T] = {static_cast<uint32_t>(Slot),
-                  static_cast<uint32_t>(Groups[Slot].size())};
-      Groups[Slot].push_back(Touched[T]);
-    }
-
-    // Most sweeps collapse to one group — every assignment sweep does (all
-    // touched packs share the target cell) — and shortcut to the chain.
-    if (Groups.size() >= 2) {
-      Stats.add("parallel.sweeps_grouped");
-      Stats.add("parallel.sweep_groups_dispatched", Groups.size());
-
-      struct Slot {
-        DomainState::Ptr NewState; ///< Null: unchanged / never computed.
-        ReductionChannel Ch;
-      };
-      std::vector<std::vector<Slot>> Bufs(Groups.size());
-      for (size_t G = 0; G < Groups.size(); ++G)
-        Bufs[G].resize(Groups[G].size());
-
-      // Fan the groups out: every worker chains its own group against a
-      // snapshot of the pre-sweep environment (persistent maps make the
-      // copy cheap), folding its own channel facts locally so the
-      // within-group feed is exactly the sequential one. Statistics notes
-      // and usefulness flags are deferred to the merge, which replays each
-      // channel exactly once. Each worker also records the cells its
-      // evaluations consulted — the group's read set, which the merge's
-      // conflict rule intersects against cross-group tightenings.
-      std::vector<std::vector<CellId>> GroupReads(Groups.size());
-      const AbstractEnv &Pre = Env;
-      Scheduler::runGroups(Groups.size(), [&](size_t G) {
-        SilentEvalGuard Silent;
-        AbstractEnv Local(Pre);
-        RecordingEvalContext Ctx(*this, Local, GroupReads[G]);
-        for (size_t I = 0; I < Groups[G].size(); ++I) {
-          DomainState::Ptr S = Local.rel(D, Groups[G][I]);
-          if (!S)
-            continue;
-          Slot &R = Bufs[G][I];
-          R.NewState = Op(*S, Ctx, R.Ch);
-          if (!R.NewState)
-            continue;
-          // A bottom state ends this group's chain (the merge re-derives
-          // the stop from the buffered state, in sequential slot order).
-          if (StopOnBottom && R.NewState->isBottom())
-            break;
-          Local.setRel(D, Groups[G][I], R.NewState);
-          if (R.Ch.isBottom()) {
-            Local.markBottom();
-            if (StopOnBottom)
-              break;
-          } else {
-            R.Ch.forEachFact([&](CellId C, const Interval &I2) {
-              Local.meetCellInterval(C, I2);
-            });
-          }
-        }
-        std::sort(GroupReads[G].begin(), GroupReads[G].end());
-        GroupReads[G].erase(
-            std::unique(GroupReads[G].begin(), GroupReads[G].end()),
-            GroupReads[G].end());
-      });
-
-      // Deterministic merge: replay the buffered results onto the real
-      // environment in the sequential slot order (ascending pack id, which
-      // interleaves the groups exactly as the sequential chain would and
-      // keeps the bottom short-circuit and statistics replay identical;
-      // group-major order would be equivalent on disjoint groups). A
-      // buffered result is valid while the group's snapshot is: once a
-      // slot of *another* group tightens a cell that group's evaluations
-      // actually consulted (its recorded read set), that group is broken
-      // and its remaining slots are recomputed in place — the exact
-      // sequential semantics for them, since a deterministic Op re-reads
-      // the same unchanged cells and returns the same result otherwise.
-      // An environment proved bottom breaks every group (all later
-      // evaluations see it). The request's static read set — the old,
-      // coarser conflict rule that broke every group on any tightening of
-      // a request-read cell — is kept only to meter how often the
-      // sharpened rule saves a recompute.
-      std::vector<CellId> ReadSet =
-          collectSweepReadSet(Env, ReadExprs, ReadForms);
-      std::vector<uint8_t> Broken(Groups.size(), 0);
-      uint32_t MergeGroup = 0;
-      auto BreakOthers = [&] {
-        for (size_t G = 0; G < Groups.size(); ++G)
-          if (G != MergeGroup)
-            Broken[G] = 1;
-      };
-      std::function<void(CellId)> OnChanged = [&](CellId C) {
-        bool OldRuleBreaks =
-            std::binary_search(ReadSet.begin(), ReadSet.end(), C);
-        for (size_t G = 0; G < Groups.size(); ++G) {
-          if (G == MergeGroup || Broken[G])
-            continue;
-          if (std::binary_search(GroupReads[G].begin(), GroupReads[G].end(),
-                                 C))
-            Broken[G] = 1;
-          else if (OldRuleBreaks)
-            Stats.add("parallel.sweep_breaks_avoided");
-        }
-      };
-      TransferEvalContext MergeCtx(*this, Env);
-      for (size_t T = 0; T < Touched.size(); ++T) {
-        PackId Pack = Touched[T];
-        auto [G, I] = Where[T];
-        MergeGroup = G;
-        DomainState::Ptr N;
-        ReductionChannel Recomputed;
-        const ReductionChannel *Ch = nullptr;
-        if (Broken[G]) {
-          Stats.add("parallel.sweep_conflicts");
-          DomainState::Ptr S = Env.rel(D, Pack);
-          if (!S)
-            continue;
-          N = Op(*S, MergeCtx, Recomputed);
-          Ch = &Recomputed;
-        } else {
-          N = Bufs[G][I].NewState;
-          Ch = &Bufs[G][I].Ch;
-        }
-        if (!N)
-          continue;
-        if (StopOnBottom && N->isBottom())
-          return SweepResult::BottomState;
-        Env.setRel(D, Pack, std::move(N));
-        bool WasBottom = Env.isBottom();
-        applyChannel(Env, D, Pack, *Ch, &OnChanged);
-        if (Env.isBottom() && !WasBottom)
-          BreakOthers(); // Every later evaluation now sees bottom.
-        if (StopOnBottom && Env.isBottom())
-          return SweepResult::BottomEnv;
-      }
-      return SweepResult::Ok;
-    }
-  }
-
-  // The sequential reduction chain — the historical semantics, the
-  // --pack-dispatch=seq path, and the degenerate-plan shortcut.
+  // family (overlapping octagon packs), so they run in slot order. Closure
+  // stays the adapters' business: a state published by assignCell is
+  // closed exactly once, on demand through the domain's cached entry point
+  // (Octagon::close and its dirty-tracked incremental discipline), so this
+  // layer never closes defensively between slots.
   TransferEvalContext Ctx(*this, Env);
   for (PackId Pack : Touched) {
     DomainState::Ptr S = Env.rel(D, Pack);
@@ -874,7 +599,7 @@ void Transfer::relationalAssign(AbstractEnv &Env, CellId Target,
         Env, D, Reg.domain(D).packsOf(Target),
         [&](const DomainState &S, const DomainEvalContext &Ctx,
             ReductionChannel &Ch) { return S.assignCell(Req, Ctx, Ch); },
-        /*StopOnBottom=*/false, {Rhs}, {&Form});
+        /*StopOnBottom=*/false);
 }
 
 void Transfer::relationalForget(AbstractEnv &Env, CellId C,
@@ -1187,16 +912,14 @@ AbstractEnv Transfer::guard(AbstractEnv Env, const Expr *Cond,
       if (SharedC)
         return Env;
       // Registered domains: boolean guard + reduction (the B := X==0
-      // example of Sect. 6.2.4; only domains tracking C react). A
-      // reduction chain like relationalAssign — and like every assignment
-      // sweep it is single-group (all touched packs share C), so the
-      // dispatch short-circuits to the sequential chain.
+      // example of Sect. 6.2.4; only domains tracking C react) — a
+      // reduction chain like relationalAssign.
       for (size_t D = 0; D < Reg.size(); ++D) {
         SweepResult R = runPackSweep(
             Env, D, Reg.domain(D).packsOf(C),
             [&](const DomainState &S, const DomainEvalContext &,
                 ReductionChannel &Ch) { return S.guardBool(C, Positive, Ch); },
-            /*StopOnBottom=*/true, {}, {});
+            /*StopOnBottom=*/true);
         if (R == SweepResult::BottomState)
           return AbstractEnv::bottom();
         if (R == SweepResult::BottomEnv)
@@ -1309,10 +1032,7 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
   // cells for the per-leaf decision-tree feasibility of Sect. 6.2.4). The
   // per-pack refinements form a reduction chain (each pack's guard
   // evaluates under the channel facts of the packs before it); the sweep
-  // runs it in slot order — whole pack groups in parallel under
-  // --pack-dispatch=groups, byte-identically merged — and this is the one
-  // sweep that genuinely fans out: a comparison may touch packs from
-  // several groups (the assignment sweeps never can).
+  // runs it in slot order.
   // Comparisons reading shared cells must not seed relational facts (the
   // stale-relation leak); the interval refinements above already used the
   // rival-joined observations, which is all interference semantics allows.
@@ -1331,7 +1051,7 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
         Env, D, Dom.planGuard(G, Ctx),
         [&](const DomainState &S, const DomainEvalContext &C,
             ReductionChannel &Ch) { return S.guard(G, C, Ch); },
-        /*StopOnBottom=*/true, {A, B}, {&G.Diff, &G.NegDiff});
+        /*StopOnBottom=*/true);
     if (R == SweepResult::BottomState)
       return AbstractEnv::bottom();
     if (R == SweepResult::BottomEnv)

@@ -34,7 +34,6 @@
 #include "support/Statistics.h"
 
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <optional>
 
@@ -85,8 +84,7 @@ public:
   /// record the read; shared-cell stores record the written interval.
   /// Recording is semantics, not checking — it happens regardless of mode or
   /// silent evaluation, and the recorder's joins are commutative and
-  /// idempotent, so speculative group-sweep workers re-recording the same
-  /// access is harmless.
+  /// idempotent, so re-recording the same access is harmless.
   const concurrency::ThreadContext *Conc = nullptr;
 
   const RefBinding *lookupBinding(ir::VarId V) const {
@@ -193,17 +191,13 @@ private:
   /// Meets the channel's interval facts into the cell environment,
   /// records pack usefulness, drains statistics notes, and marks the
   /// environment bottom when the publishing domain proved it unreachable.
-  /// \p ChangedSink, when set, observes every cell the fold tightened (the
-  /// grouped merge's conflict detector).
   void applyChannel(AbstractEnv &Env, size_t D, memory::PackId P,
-                    const ReductionChannel &Ch,
-                    const std::function<void(CellId)> *ChangedSink = nullptr);
+                    const ReductionChannel &Ch);
 
-  // -- Pack-group parallel transfer dispatch -------------------------------
+  // -- Channel-feeding pack sweeps -----------------------------------------
   /// Outcome of one channel-feeding pack sweep over one registered domain.
   /// Callers translate BottomState/BottomEnv into the exact bottom value
-  /// the historical sequential chain returned (a fresh bottom environment
-  /// vs. the in-place marked one).
+  /// they return (a fresh bottom environment vs. the in-place marked one).
   enum class SweepResult : uint8_t { Ok, BottomState, BottomEnv };
 
   /// One pack's transfer under the sweep's shared request: returns the new
@@ -211,36 +205,14 @@ private:
   using SweepOp = std::function<DomainState::Ptr(
       const DomainState &, const DomainEvalContext &, ReductionChannel &)>;
 
-  /// Runs one domain's channel-feeding reduction sweep over \p Touched
-  /// packs (sorted, unique). With --pack-dispatch=groups and an ambient
-  /// parallel scheduler, the packs are partitioned by the domain's
-  /// PackGroupPlan and whole groups fan out as workers: each worker runs
-  /// its group's chain sequentially against a snapshot of the pre-sweep
-  /// environment, buffering new states and channels. The deterministic
-  /// merge then replays the buffers onto the real environment in the
-  /// sequential slot order; a group whose snapshot was invalidated — an
-  /// earlier slot of *another* group tightened a cell of \p ReadExprs /
-  /// \p ReadForms (everything the shared request may read) — is recomputed
-  /// in place, so the final environment, alarms and reports are
-  /// byte-identical to the sequential chain in every case, not only for
-  /// truly disjoint groups. Singleton or degenerate partitions (e.g. every
-  /// assignment sweep: all touched packs share the target cell) take the
-  /// plain sequential chain directly.
+  /// Runs one domain's channel-feeding reduction chain over \p Touched
+  /// packs (sorted, unique), in slot order: each pack evaluates under the
+  /// cells already refined by the channels of the packs before it. With
+  /// \p StopOnBottom, a bottom state or a bottom environment ends the
+  /// chain.
   SweepResult runPackSweep(AbstractEnv &Env, size_t D,
                            const std::vector<memory::PackId> &Touched,
-                           const SweepOp &Op, bool StopOnBottom,
-                           std::initializer_list<const ir::Expr *> ReadExprs,
-                           std::initializer_list<const LinearForm *> ReadForms);
-
-  /// The cells the sweep's evaluations may read from the environment: every
-  /// load-reachable cell of the request expressions (weak selections
-  /// contribute their whole range, subscripts recurse) plus the linear-form
-  /// terms. Sorted and unique — the grouped merge's conflict-detection
-  /// domain.
-  std::vector<CellId>
-  collectSweepReadSet(const AbstractEnv &Env,
-                      std::initializer_list<const ir::Expr *> Exprs,
-                      std::initializer_list<const LinearForm *> Forms);
+                           const SweepOp &Op, bool StopOnBottom);
 
   /// Runs \p Task(0..N-1) — one registered-domain pack slot each — through
   /// the ambient Scheduler when one is installed, inline otherwise. Tasks
@@ -249,8 +221,7 @@ private:
   /// per-slot results in slot order, which is what keeps `--jobs=N`
   /// byte-identical to sequential. Only order-independent sweeps
   /// (relationalForget, preJoinReduce) use it — the channel-feeding
-  /// reduction chains go through runPackSweep, whose unit of parallelism
-  /// is the PackGroupPlan group, not the slot.
+  /// reduction chains of runPackSweep stay sequential.
   void runSlotStage(size_t N, const std::function<void(size_t)> &Task);
 
   const ir::Program &P;

@@ -36,7 +36,6 @@ struct ThreadRun {
   std::map<uint32_t, AbstractEnv> Invariants;
   std::vector<std::vector<uint8_t>> RelImproved;
   size_t MaxWidth = 0;
-  size_t MaxCallW = 0;
   ThreadInterference Recorded;
 };
 
@@ -89,7 +88,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
   R.LoopInvariants = Startup.loopInvariants();
   R.RelPackImproved = Startup.transfer().RelPackImproved;
   R.MaxPartitionWidth = Startup.maxPartitionDispatchWidth();
-  R.MaxCallWidth = Startup.maxCallDispatchWidth();
 
   // Relational packs are thread-local under interference semantics; sever
   // the startup state's facts about shared cells so no stale relation
@@ -112,7 +110,7 @@ ConcurrentResult ConcurrentAnalysis::run() {
     cancel::poll();
     cancel::pollBudget();
     std::vector<ThreadRun> Runs(N);
-    // The fourth parallel grain: per-thread analyses of one round are
+    // The thread grain: per-thread analyses of one round are
     // independent (each reads the round's snapshot map and E0, writes only
     // its own ThreadRun), so they fan out over the ambient Scheduler.
     // Every merge below runs in thread-declaration order, so reports are
@@ -131,7 +129,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
       TR.Invariants = It.loopInvariants();
       TR.RelImproved = It.transfer().RelPackImproved;
       TR.MaxWidth = It.maxPartitionDispatchWidth();
-      TR.MaxCallW = It.maxCallDispatchWidth();
       TR.Recorded = Rec.take();
     });
     if (FannedOut)
@@ -254,10 +251,8 @@ ConcurrentResult ConcurrentAnalysis::run() {
       for (size_t Pk = 0; Pk < R.RelPackImproved[D].size(); ++Pk)
         R.RelPackImproved[D][Pk] |= FinalRuns[T].RelImproved[D][Pk];
 
-  for (size_t T = 0; T < N; ++T) {
+  for (size_t T = 0; T < N; ++T)
     R.MaxPartitionWidth = std::max(R.MaxPartitionWidth, FinalRuns[T].MaxWidth);
-    R.MaxCallWidth = std::max(R.MaxCallWidth, FinalRuns[T].MaxCallW);
-  }
 
   return R;
 }

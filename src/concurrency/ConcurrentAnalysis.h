@@ -22,9 +22,9 @@
 ///      fixpoint map — are the final ones.
 ///
 /// Per-thread analyses of one round are independent, so they fan out over
-/// the ambient Scheduler (the analyzer's fourth parallel grain); every merge
-/// is in thread-declaration order, keeping reports byte-identical across
-/// --jobs and both dispatch modes.
+/// the ambient Scheduler (the analyzer's thread grain); every merge is in
+/// thread-declaration order, keeping reports byte-identical across --jobs
+/// and both partition-dispatch modes.
 ///
 /// On top of the fixpoint, two derived alarm classes:
 ///   - data races: a shared cell written by one thread and accessed
@@ -72,7 +72,6 @@ struct ConcurrentResult {
   /// inputs; surfaced as `concurrency.rounds_capped`).
   bool Capped = false;
   size_t MaxPartitionWidth = 0;
-  size_t MaxCallWidth = 0;
 };
 
 class ConcurrentAnalysis {

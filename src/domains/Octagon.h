@@ -42,7 +42,6 @@
 
 #include "domains/Interval.h"
 #include "domains/LinearForm.h"
-#include "support/Hash128.h"
 #include "support/MemoryTracker.h"
 
 #include <atomic>
@@ -57,9 +56,11 @@ namespace astral {
 class Thresholds;
 
 /// How Octagon::close() restores strong closure after tightenings: a full
-/// Floyd-Warshall sweep every time (the seed behavior, kept for
-/// differential benching via --octagon-closure=full), or incrementally
-/// through the dirty rows/columns when only a few variables were touched.
+/// Floyd-Warshall sweep every time, or incrementally through the dirty
+/// rows/columns when only a few variables were touched. The analyzer always
+/// builds incremental octagons; Full is the reference algorithm the
+/// differential suite (tests/test_octagon.cpp) and the closure-by-size
+/// micro-benchmarks (bench/bench_octagon_cost.cpp) compare against.
 enum class OctClosureMode : uint8_t {
   Full,
   Incremental,
@@ -164,23 +165,6 @@ public:
   std::string toString() const;
 
   size_t byteSize() const { return M.size() * sizeof(double); }
-
-  /// Feeds the exact DBM representation (pack cells, matrix bytes, closure
-  /// and dirty-set bookkeeping, emptiness) into \p H — the call-summary
-  /// memo's content key. Representation-sensitive by design: a closed and
-  /// an unclosed DBM of the same octagon hash differently, which only
-  /// splits memo keys (a spurious miss), never corrupts a hit.
-  void hashRepr(support::Hash128 &H) const {
-    H.u64(Vars.size());
-    for (CellId C : Vars)
-      H.u32(C);
-    for (double D : M)
-      H.f64(D);
-    H.u32(PivotDirty);
-    H.u32(StarDirty);
-    H.boolean(Closed);
-    H.boolean(Empty);
-  }
 
 private:
   double &at(int P, int Q) { return M[static_cast<size_t>(P) * N + Q]; }

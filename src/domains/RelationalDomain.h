@@ -46,10 +46,6 @@ namespace astral {
 
 class Thresholds;
 
-namespace support {
-class Hash128;
-} // namespace support
-
 namespace ir {
 class Expr;
 enum class BinOp : uint8_t;
@@ -294,15 +290,6 @@ public:
   /// does not (pack usefulness, Sect. 7.2.2).
   virtual bool hasRelationalInfo() const = 0;
   virtual std::string toString() const = 0;
-
-  /// Feeds an exact, representation-sensitive digest of this state into
-  /// \p H — the call-summary memo's content key. Contract: for two states
-  /// of the same domain and pack, an equal digest stream implies a
-  /// bitwise-identical representation, so re-executing from either yields
-  /// identical results. Representation differences that are semantically
-  /// equal (a closed vs. unclosed octagon DBM) must still split the stream:
-  /// that only costs a spurious memo miss, never a wrong hit.
-  virtual void repHash(support::Hash128 &H) const = 0;
 };
 
 } // namespace astral

@@ -237,9 +237,6 @@ int runAnalyze(Client &C, const std::vector<std::string> &Args) {
     cli::printUsage(stdout);
     return 0;
   }
-  // Deprecation warnings are NOT printed here: the daemon re-parses the
-  // forwarded tokens and routes them through the response's stderr field,
-  // so printing both would duplicate every line.
   if (Cli.InputPaths.empty()) {
     std::fprintf(stderr, "astral client: error: no input files\n");
     return 1;

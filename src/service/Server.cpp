@@ -316,9 +316,6 @@ std::string Server::handleAnalyze(const Request &R) {
                        "flags; files travel in 'files'");
 
   std::string ErrText;
-  for (const std::string &W : Parsed.Warnings)
-    ErrText += W + "\n";
-
   std::vector<std::string> Paths;
   std::vector<AnalysisInput> Inputs;
   uint64_t DeadlineMs = 0;

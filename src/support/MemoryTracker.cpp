@@ -11,8 +11,6 @@ namespace astral {
 namespace memtrack {
 
 namespace {
-std::atomic<size_t> Live{0};
-std::atomic<size_t> Peak{0};
 thread_local Counter *Ambient = nullptr;
 } // namespace
 
@@ -23,26 +21,14 @@ CounterScope::CounterScope(Counter *C) : Prev(Ambient) { Ambient = C; }
 CounterScope::~CounterScope() { Ambient = Prev; }
 
 void noteAlloc(size_t Bytes) {
-  size_t Now = Live.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-  size_t Old = Peak.load(std::memory_order_relaxed);
-  while (Now > Old &&
-         !Peak.compare_exchange_weak(Old, Now, std::memory_order_relaxed)) {
-  }
   if (Counter *C = Ambient)
     C->noteAlloc(Bytes);
 }
 
 void noteFree(size_t Bytes) {
-  Live.fetch_sub(Bytes, std::memory_order_relaxed);
   if (Counter *C = Ambient)
     C->noteFree(Bytes);
 }
-
-size_t liveBytes() { return Live.load(std::memory_order_relaxed); }
-
-size_t peakBytes() { return Peak.load(std::memory_order_relaxed); }
-
-void resetPeak() { Peak.store(liveBytes(), std::memory_order_relaxed); }
 
 } // namespace memtrack
 } // namespace astral

@@ -13,17 +13,15 @@
 /// tracker rather than OS-level RSS, which would be polluted by the host
 /// allocator and the benchmark harness.
 ///
-/// Two accounting planes:
-///  - The process-wide live/peak figures (noteAlloc/noteFree/liveBytes/
-///    peakBytes), kept for the benches and the allocation-shape tests.
-///  - Per-session Counters: an AnalysisSession installs its own Counter as
-///    the calling thread's ambient sink (CounterScope) for the duration of
-///    its analysis phases, and the Scheduler re-installs the submitting
-///    thread's ambient counter on every pool worker that runs the session's
-///    tasks. Concurrent sessions (analyzeBatch files, daemon requests)
-///    therefore meter their own abstract-state bytes instead of reading one
-///    process-wide high-water mark through each other — the same isolation
-///    PR 4 gave the octagon closure counters.
+/// Accounting is per Counter, never process-wide: noteAlloc/noteFree feed
+/// the calling thread's ambient Counter and are no-ops when none is
+/// installed. An AnalysisSession installs its own Counter (CounterScope)
+/// for the duration of its analysis phases, and the Scheduler re-installs
+/// the submitting thread's ambient counter on every pool worker that runs
+/// the session's tasks. Concurrent sessions (analyzeBatch files, daemon
+/// requests) therefore meter their own abstract-state bytes — the live
+/// figure the memory budget polls and the peak reported as
+/// PeakAbstractBytes — without reading each other's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,18 +93,12 @@ private:
   Counter *Prev;
 };
 
-/// Records an allocation of \p Bytes owned by abstract state (process-wide
-/// plus the ambient per-session counter, when one is installed).
+/// Records an allocation of \p Bytes owned by abstract state in the
+/// ambient counter, when one is installed.
 void noteAlloc(size_t Bytes);
-/// Records a deallocation of \p Bytes owned by abstract state.
+/// Records a deallocation of \p Bytes owned by abstract state in the
+/// ambient counter, when one is installed.
 void noteFree(size_t Bytes);
-
-/// Bytes currently live (process-wide).
-size_t liveBytes();
-/// Process-wide high-water mark since the last resetPeak().
-size_t peakBytes();
-/// Resets the process-wide high-water mark to the current live figure.
-void resetPeak();
 
 } // namespace memtrack
 } // namespace astral

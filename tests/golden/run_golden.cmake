@@ -3,13 +3,11 @@
 # invariant census, inferred ranges) against checked-in expectations.
 #
 # Each case then re-runs across the execution-policy matrix — --jobs=2/8
-# crossed with --pack-dispatch=seq/groups, --partition-dispatch=seq/par
-# and --call-dispatch=seq/par — and the raw JSON must be byte-identical
-# (after the same normalization) to the --jobs=1 report: the scheduler
-# determinism guarantee of the parallel analyzer, covering the pack-group
-# transfer dispatch, the trace-partition dispatch and the call-context
-# dispatch (scripts/determinism_matrix.sh is the standalone CI twin of
-# this matrix).
+# crossed with --partition-dispatch=seq/par — and the raw JSON must be
+# byte-identical (after the same normalization) to the --jobs=1 report: the
+# scheduler determinism guarantee of the parallel analyzer, covering the
+# slot-level lattice stages and the trace-partition dispatch
+# (scripts/determinism_matrix.sh is the standalone CI twin of this matrix).
 #
 # Invoked by CTest as:
 #   cmake -DASTRAL_CLI=<path> -DSOURCE_DIR=<repo> [-DOUT_DIR=<dir>] \
@@ -60,43 +58,33 @@ foreach(case ${CASES})
   normalize_report("${actual}" actual)
 
   # Determinism under concurrency: the parallel reports — at every jobs
-  # value, in both pack-dispatch modes, both partition-dispatch modes and
-  # both call-dispatch modes — must match the sequential one byte for byte.
+  # value, in both partition-dispatch modes — must match the sequential one
+  # byte for byte.
   foreach(jobs 2 8)
-    foreach(dispatch seq groups)
-      foreach(pdispatch seq par)
-        foreach(cdispatch seq par)
-          execute_process(COMMAND ${ASTRAL_CLI} ${input} --json --jobs=${jobs}
-                                  --pack-dispatch=${dispatch}
-                                  --partition-dispatch=${pdispatch}
-                                  --call-dispatch=${cdispatch}
-                          OUTPUT_VARIABLE par_actual
-                          ERROR_VARIABLE par_stderr
-                          RESULT_VARIABLE par_rc)
-          if(NOT par_rc EQUAL 0)
-            message(SEND_ERROR
-                "[${case}] astral-cli --jobs=${jobs} "
-                "--pack-dispatch=${dispatch} "
-                "--partition-dispatch=${pdispatch} "
-                "--call-dispatch=${cdispatch} exited with "
-                "${par_rc}:\n${par_stderr}")
-            math(EXPR NFAILED "${NFAILED}+1")
-            continue()
-          endif()
-          normalize_report("${par_actual}" par_actual)
-          if(NOT par_actual STREQUAL actual)
-            set(tag ${case}.jobs${jobs}.${dispatch}.${pdispatch}.${cdispatch})
-            file(WRITE ${OUT_DIR}/${tag}.actual.json "${par_actual}")
-            message(SEND_ERROR
-                "[${case}] --jobs=${jobs} --pack-dispatch=${dispatch} "
-                "--partition-dispatch=${pdispatch} "
-                "--call-dispatch=${cdispatch} report differs from "
-                "--jobs=1 (determinism violation)\n"
-                "actual saved to ${OUT_DIR}/${tag}.actual.json")
-            math(EXPR NFAILED "${NFAILED}+1")
-          endif()
-        endforeach()
-      endforeach()
+    foreach(pdispatch seq par)
+      execute_process(COMMAND ${ASTRAL_CLI} ${input} --json --jobs=${jobs}
+                              --partition-dispatch=${pdispatch}
+                      OUTPUT_VARIABLE par_actual
+                      ERROR_VARIABLE par_stderr
+                      RESULT_VARIABLE par_rc)
+      if(NOT par_rc EQUAL 0)
+        message(SEND_ERROR
+            "[${case}] astral-cli --jobs=${jobs} "
+            "--partition-dispatch=${pdispatch} exited with "
+            "${par_rc}:\n${par_stderr}")
+        math(EXPR NFAILED "${NFAILED}+1")
+        continue()
+      endif()
+      normalize_report("${par_actual}" par_actual)
+      if(NOT par_actual STREQUAL actual)
+        set(tag ${case}.jobs${jobs}.${pdispatch})
+        file(WRITE ${OUT_DIR}/${tag}.actual.json "${par_actual}")
+        message(SEND_ERROR
+            "[${case}] --jobs=${jobs} --partition-dispatch=${pdispatch} "
+            "report differs from --jobs=1 (determinism violation)\n"
+            "actual saved to ${OUT_DIR}/${tag}.actual.json")
+        math(EXPR NFAILED "${NFAILED}+1")
+      endif()
     endforeach()
   endforeach()
 

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <sstream>
+
 using namespace astral;
 using testutil::rangeOf;
 
@@ -58,6 +61,77 @@ void expectSameReport(const AnalysisResult &A, const AnalysisResult &B) {
   }
   EXPECT_EQ(A.MainLoopInvariant, B.MainLoopInvariant);
   EXPECT_EQ(A.UsefulOctPacks, B.UsefulOctPacks);
+}
+
+/// Two cell-disjoint octagon clusters and a cross-cluster comparison whose
+/// own block pack exceeds MaxOctPackSize (= 3 below): the guard's reduction
+/// chain spans packs of both clusters, and the clusters exchange facts
+/// through the folded out-of-pack intervals.
+AnalysisInput crossClusterGuardInput() {
+  AnalysisInput In;
+  In.Source = "volatile float ina; volatile float inb;\n"
+              "float a; float x; float b; float y; float z1; float z2;\n"
+              "int main(void) {\n"
+              "  while (1) {\n"
+              "    if (ina > 0.5f) { a = ina; x = a + 1.0f; }\n"
+              "    if (inb > 0.5f) { b = inb; y = b + 2.0f; }\n"
+              "    if (x + y < 10.0f) { z1 = x; z2 = y; }\n"
+              "    __astral_wait();\n"
+              "  }\n"
+              "  return 0;\n"
+              "}\n";
+  In.Options.MaxOctPackSize = 3; // Drops the cross block, keeps clusters.
+  In.Options.VolatileRanges["ina"] = Interval(0, 100);
+  In.Options.VolatileRanges["inb"] = Interval(0, 100);
+  In.Options.ClockMax = 1.0e6;
+  return In;
+}
+
+/// Randomized pack topologies: 2-4 independent octagon clusters with a
+/// confirmed decision-tree pack each, and on odd seeds a cross-cluster
+/// comparison in a block too large for one pack.
+AnalysisInput clusterTopologyInput(unsigned Seed) {
+  std::mt19937 Rng(Seed);
+  unsigned K = 2 + Seed % 3;
+  std::ostringstream Src;
+  for (unsigned C = 0; C < K; ++C)
+    Src << "volatile float in" << C << "; float a" << C << "; float x" << C
+        << "; int b" << C << "; float t" << C << ";\n";
+  Src << "int main(void) {\n  while (1) {\n";
+  for (unsigned C = 0; C < K; ++C) {
+    double Step = 1.0 + (Rng() % 8);
+    Src << "    if (in" << C << " > 0.5f) { a" << C << " = in" << C << "; x"
+        << C << " = a" << C << " + " << Step << "f; }\n";
+    Src << "    if (x" << C << " - a" << C << " < " << (Step + 2.0) << "f) { a"
+        << C << " = x" << C << " * 0.5f; }\n";
+    Src << "    b" << C << " = x" << C << " > 2.0f;\n";
+    Src << "    if (b" << C << ") { t" << C << " = x" << C << "; }\n";
+  }
+  if (Seed % 2 == 1)
+    Src << "    if (x0 + x1 < 9.0f) { t0 = x0; t1 = x1; }\n";
+  Src << "    __astral_wait();\n  }\n  return 0;\n}\n";
+
+  AnalysisInput In;
+  In.Source = Src.str();
+  In.Options.MaxOctPackSize = 3;
+  for (unsigned C = 0; C < K; ++C)
+    In.Options.VolatileRanges["in" + std::to_string(C)] = Interval(0, 50);
+  In.Options.ClockMax = 1.0e6;
+  return In;
+}
+
+/// The --jobs=1 report of \p In must be reproduced at --jobs=2 and 8.
+void expectJobsDeterministic(const AnalysisInput &In) {
+  AnalysisInput Seq = In;
+  Seq.Options.Jobs = 1;
+  AnalysisResult RSeq = Analyzer::analyze(Seq);
+  ASSERT_TRUE(RSeq.FrontendOk) << RSeq.FrontendErrors;
+  for (unsigned Jobs : {2u, 8u}) {
+    AnalysisInput Par = In;
+    Par.Options.Jobs = Jobs;
+    AnalysisResult RPar = Analyzer::analyze(Par);
+    expectSameReport(RSeq, RPar);
+  }
 }
 
 } // namespace
@@ -136,16 +210,14 @@ TEST(AnalysisSession, FrontendFailureDegradesGracefully) {
 }
 
 TEST(AnalysisSession, JobsAreByteDeterministic) {
-  AnalysisInput Seq = limiterInput();
-  Seq.Options.Jobs = 1;
-  AnalysisResult RSeq = Analyzer::analyze(Seq);
-
-  for (unsigned Jobs : {2u, 8u}) {
-    AnalysisInput Par = limiterInput();
-    Par.Options.Jobs = Jobs;
-    AnalysisResult RPar = Analyzer::analyze(Par);
-    expectSameReport(RSeq, RPar);
-  }
+  // Above --jobs=1 the slot-level lattice stages (join, widen, narrow,
+  // leq, forget, the ellipsoid pre-join reduction) fan the (domain, pack)
+  // slots out over the pool; the multi-cluster topologies give them many
+  // independent packs to fan out.
+  expectJobsDeterministic(limiterInput());
+  expectJobsDeterministic(crossClusterGuardInput());
+  for (unsigned Seed = 1; Seed <= 5; ++Seed)
+    expectJobsDeterministic(clusterTopologyInput(Seed));
 }
 
 TEST(AnalysisSession, AnalyzeBatchMatchesIndividualRuns) {
@@ -167,27 +239,6 @@ TEST(AnalysisSession, AnalyzeBatchMatchesIndividualRuns) {
   AnalysisResult Alone = Analyzer::analyze(Inputs[0]);
   expectSameReport(Alone, Batch[0]);
   expectSameReport(Alone, Batch[2]);
-}
-
-TEST(AnalysisSession, OctagonClosureModesProduceIdenticalReports) {
-  AnalysisInput Full = limiterInput();
-  Full.Options.OctagonClosure = OctClosureMode::Full;
-  AnalysisResult RFull = Analyzer::analyze(Full);
-
-  AnalysisInput Inc = limiterInput();
-  Inc.Options.OctagonClosure = OctClosureMode::Incremental;
-  AnalysisResult RInc = Analyzer::analyze(Inc);
-
-  expectSameReport(RFull, RInc);
-  // The discipline split is the work meter: full mode never runs the
-  // incremental algorithm, incremental mode replaces some full sweeps.
-  EXPECT_EQ(RFull.Stats.get("analysis.octagon_closures_incremental"), 0u);
-  EXPECT_GT(RFull.Stats.get("analysis.octagon_closures_full"), 0u);
-  EXPECT_GT(RInc.Stats.get("analysis.octagon_closures_incremental"), 0u);
-  EXPECT_LT(RInc.Stats.get("analysis.octagon_closures_full"),
-            RFull.Stats.get("analysis.octagon_closures_full"));
-  EXPECT_EQ(RFull.Stats.get("analysis.octagon_closures"),
-            RFull.Stats.get("analysis.octagon_closures_full"));
 }
 
 TEST(AnalysisSession, ClosureCountersArePerSession) {

@@ -209,8 +209,23 @@ std::string resultSignature(const AnalysisResult &R) {
   for (const std::string &S : R.DegradeSteps)
     Sig += S + ";";
   Sig += "|alarms=" + std::to_string(R.alarmCount());
+  for (const Alarm &A : R.Alarms)
+    Sig += "|" + std::string(alarmKindName(A.Kind)) + ":" +
+           std::to_string(A.Loc.Line) + ":" + A.Message +
+           (A.Definite ? ":definite" : "") + ":x" + std::to_string(A.Repeats);
   for (const auto &[Name, Itv] : R.VariableRanges)
     Sig += "|" + Name + "=" + Itv.toString();
+  const InvariantCensus &C = R.MainLoopCensus;
+  Sig += "|census=" + std::to_string(C.BoolAssertions) + "/" +
+         std::to_string(C.IntervalAssertions) + "/" +
+         std::to_string(C.ClockAssertions) + "/" +
+         std::to_string(C.OctAdditive) + "/" +
+         std::to_string(C.OctSubtractive) + "/" +
+         std::to_string(C.DecisionTrees) + "/" +
+         std::to_string(C.EllipsoidAssertions);
+  Sig += "|useful=";
+  for (uint32_t Id : R.UsefulOctPacks)
+    Sig += std::to_string(Id) + ",";
   Sig += "|inv=" + R.MainLoopInvariant;
   return Sig;
 }
@@ -256,12 +271,12 @@ TEST(Governance, ExternalTokenPreemptsAnalysis) {
 
 TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
   // Calibrate: the ungoverned peak of this member tells us a budget that
-  // must trigger at least one ladder step. The call-summary memo is off for
-  // the calibration run — a budgeted run auto-disables it (retained
-  // summaries would sit in the live figure the ladder compares against), so
-  // the memo-less peak is the one the governed runs are actually up against.
+  // must trigger at least one ladder step. The matrix is also the
+  // regression test for the budget poll staying master-only: a partition
+  // worker (a collect-mode clone) that polled would sample the
+  // deterministic live figure at timing-dependent points, and the ladder
+  // would diverge between the dispatch modes.
   AnalysisInput Base = familyInput(1200, 7);
-  Base.Options.CallMemo = false;
   AnalysisResult Free = Analyzer::analyze(Base);
   ASSERT_TRUE(Free.FrontendOk) << Free.FrontendErrors;
   ASSERT_GT(Free.PeakAbstractBytes, 0u);

@@ -313,7 +313,7 @@ TEST(InterferenceAlarms, BaselineErrorsAreNotBlamedOnInterference) {
 namespace {
 
 /// Everything the report layer prints that the determinism contract covers
-/// (the threaded twin of test_pack_groups' fingerprint).
+/// (the threaded twin of test_partition_dispatch's fingerprint).
 std::string fingerprint(const AnalysisResult &R) {
   std::ostringstream F;
   F << "alarms:" << R.Alarms.size() << "\n";
@@ -328,9 +328,10 @@ std::string fingerprint(const AnalysisResult &R) {
   return F.str();
 }
 
-/// A threaded program exercising every parallel grain at once: two thread
-/// entries (thread fan-out), a shared cell read under a guard (interference
-/// joins), and a main with relational packs.
+/// A threaded program exercising the thread grain and the slot-level
+/// lattice stages at once: two thread entries (thread fan-out), a shared
+/// cell read under a guard (interference joins), and a main with relational
+/// packs.
 const char *MatrixSrc =
     "volatile float in;\n"
     "int mode;\n"
@@ -355,30 +356,23 @@ const char *MatrixSrc =
 } // namespace
 
 TEST(InterferenceDeterminism, ThreadedReportsAreIdenticalAcrossTheMatrix) {
-  auto Run = [&](unsigned Jobs, PackDispatchMode Pack,
-                 PartitionDispatchMode Part) {
+  auto Run = [&](unsigned Jobs, PartitionDispatchMode Part) {
     return fingerprint(analyzeSource(MatrixSrc, [&](AnalyzerOptions &O) {
       O.Threads.emplace_back("controller_t", "controller");
       O.Threads.emplace_back("monitor_t", "monitor");
       O.VolatileRanges["in"] = Interval(-100, 100);
       O.Jobs = Jobs;
-      O.PackDispatch = Pack;
       O.PartitionDispatch = Part;
     }));
   };
-  std::string Base =
-      Run(1, PackDispatchMode::Sequential, PartitionDispatchMode::Sequential);
+  std::string Base = Run(1, PartitionDispatchMode::Sequential);
   EXPECT_NE(Base.find("rounds:"), std::string::npos);
   for (unsigned Jobs : {1u, 2u, 8u})
-    for (PackDispatchMode Pack :
-         {PackDispatchMode::Sequential, PackDispatchMode::Groups})
-      for (PartitionDispatchMode Part : {PartitionDispatchMode::Sequential,
-                                         PartitionDispatchMode::Parallel})
-        EXPECT_EQ(Run(Jobs, Pack, Part), Base)
-            << "jobs=" << Jobs << " pack="
-            << (Pack == PackDispatchMode::Groups ? "groups" : "seq")
-            << " part="
-            << (Part == PartitionDispatchMode::Parallel ? "par" : "seq");
+    for (PartitionDispatchMode Part : {PartitionDispatchMode::Sequential,
+                                       PartitionDispatchMode::Parallel})
+      EXPECT_EQ(Run(Jobs, Part), Base)
+          << "jobs=" << Jobs << " part="
+          << (Part == PartitionDispatchMode::Parallel ? "par" : "seq");
 }
 
 TEST(InterferenceDeterminism, ThreadDeclarationOrderOwnsTheReport) {

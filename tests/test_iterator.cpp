@@ -93,6 +93,38 @@ TEST(Iterator, PolyvariantContexts) {
   EXPECT_EQ(rangeOf(R, "b"), Interval(20, 20));
 }
 
+TEST(Iterator, CalleeInMainLoopSeesEachWidenedInput) {
+  // The callee is re-analyzed from every input the main-loop fixpoint hands
+  // it; the accumulator grows through the widening sequence until the
+  // callee's clamps stabilize it, and the clamp bounds must survive into
+  // the loop invariant.
+  AnalysisResult R = analyzeSource("volatile float in;\n"
+                                   "float acc;\n"
+                                   "float step(float a, float d) {\n"
+                                   "  a = a + d;\n"
+                                   "  if (a > 100.0f) { a = 100.0f; }\n"
+                                   "  if (a < 0.0f) { a = 0.0f; }\n"
+                                   "  return a;\n"
+                                   "}\n"
+                                   "int main(void) {\n"
+                                   "  acc = 0.0f;\n"
+                                   "  while (1) {\n"
+                                   "    acc = step(acc, in);\n"
+                                   "    __astral_assert(acc < 101.0f);\n"
+                                   "    __astral_wait();\n"
+                                   "  }\n"
+                                   "  return 0;\n"
+                                   "}\n",
+                                   [](AnalyzerOptions &O) {
+                                     O.VolatileRanges["in"] = Interval(-1, 1);
+                                   });
+  ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+  EXPECT_EQ(R.Alarms.size(), 0u);
+  Interval Acc = rangeOf(R, "acc");
+  EXPECT_GE(Acc.Lo, 0.0);
+  EXPECT_LE(Acc.Hi, 100.0);
+}
+
 TEST(Iterator, ReferenceParamsWriteThrough) {
   AnalysisResult R = analyzeSource(
       "float s;\n"

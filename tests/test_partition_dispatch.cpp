@@ -1,13 +1,16 @@
 //===- tests/test_partition_dispatch.cpp - Trace-partition dispatch ---------===//
 //
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
-// Safety-Critical Software" (PLDI 2003). Tests the third parallel grain —
-// partition-level dispatch inside `@astral partition` functions — and the
-// precision bugs of the partition merge paths it builds on:
+// Safety-Critical Software" (PLDI 2003). Tests the within-file parallel
+// grain — partition-level dispatch inside `@astral partition` functions —
+// and the precision bugs of the partition merge paths it builds on:
 //
 //   - --partition-dispatch=par must produce reports bitwise identical to
-//     the sequential per-partition loop, at every --jobs value and in both
-//     --pack-dispatch modes, on randomized nested partitioned functions.
+//     the sequential per-partition loop, at every --jobs value, on
+//     randomized nested partitioned functions and on randomized call trees
+//     whose call sites see the partition disjunction (value and reference
+//     parameters, callees inlined once per environment, prototype havoc
+//     past MaxCallDepth).
 //   - The MaxPartitions cap joins only the *overflow* (one partition past
 //     the cap costs one join, not the whole disjunction).
 //   - partitioning.delayed_merges is width-accurate and its accumulation
@@ -53,34 +56,27 @@ std::string fingerprint(const AnalysisResult &R) {
   return F.str();
 }
 
-/// The full 3-D execution-policy matrix of one source: sequential
-/// everything at --jobs=1 is the baseline every (jobs, partition-dispatch,
-/// pack-dispatch) configuration must reproduce bitwise.
+/// The execution-policy matrix of one source: sequential at --jobs=1 is
+/// the baseline every (jobs, partition-dispatch) configuration must
+/// reproduce bitwise.
 void expectMatrixIdentical(
     const std::string &Src,
     const std::function<void(AnalyzerOptions &)> &Tweak = nullptr) {
-  auto Run = [&](unsigned Jobs, PartitionDispatchMode PMode,
-                 PackDispatchMode KMode) {
+  auto Run = [&](unsigned Jobs, PartitionDispatchMode PMode) {
     return fingerprint(analyzeSource(Src, [&](AnalyzerOptions &O) {
       if (Tweak)
         Tweak(O);
       O.Jobs = Jobs;
       O.PartitionDispatch = PMode;
-      O.PackDispatch = KMode;
     }));
   };
-  std::string Base = Run(1, PartitionDispatchMode::Sequential,
-                         PackDispatchMode::Sequential);
+  std::string Base = Run(1, PartitionDispatchMode::Sequential);
   for (unsigned Jobs : {1u, 2u, 8u})
     for (PartitionDispatchMode PMode : {PartitionDispatchMode::Sequential,
                                         PartitionDispatchMode::Parallel})
-      for (PackDispatchMode KMode :
-           {PackDispatchMode::Sequential, PackDispatchMode::Groups})
-        EXPECT_EQ(Run(Jobs, PMode, KMode), Base)
-            << "jobs=" << Jobs << " partition-dispatch="
-            << (PMode == PartitionDispatchMode::Parallel ? "par" : "seq")
-            << " pack-dispatch="
-            << (KMode == PackDispatchMode::Groups ? "groups" : "seq");
+      EXPECT_EQ(Run(Jobs, PMode), Base)
+          << "jobs=" << Jobs << " partition-dispatch="
+          << (PMode == PartitionDispatchMode::Parallel ? "par" : "seq");
 }
 
 /// The partitioned_switch shape plus everything the worker contexts must
@@ -132,6 +128,45 @@ void partitionedControlTweak(AnalyzerOptions &O) {
   O.VolatileRanges["meas"] = Interval(-50, 50);
 }
 
+/// The partitioned_switch shape with the clamp extracted into a helper
+/// taking value AND reference parameters, called from the width-2 mode
+/// disjunction: the helper is inlined once per partition, and its own
+/// branches fan out over partition workers under par dispatch. The alarm
+/// inside the callee and the loop invariant in the caller exercise the
+/// worker effect replay.
+const char *PartitionedHelperSrc =
+    "volatile int mode; volatile float meas;\n"
+    "float out; float acc;\n"
+    "float clamp_mag(float v, float limit, float *hits) {\n"
+    "  if (v > limit)  { v = limit; *hits = *hits + 1.0f; }\n"
+    "  if (v < -limit) { v = -limit; *hits = *hits + 1.0f; }\n"
+    "  __astral_assert(v < 21.0f);\n"
+    "  return v;\n"
+    "}\n"
+    "void control_step(void) {\n"
+    "  float limit; float m;\n"
+    "  m = meas;\n"
+    "  if (mode == 0) { limit = 5.0f; } else { limit = 20.0f; }\n"
+    "  m = clamp_mag(m, limit, &acc);\n"
+    "  if (mode == 0) { out = m * 8.0f; } else { out = m * 2.0f; }\n"
+    "}\n"
+    "int main(void) {\n"
+    "  acc = 0.0f;\n"
+    "  while (1) {\n"
+    "    control_step();\n"
+    "    __astral_assert(out > -41.0f);\n"
+    "    __astral_assert(out < 41.0f);\n"
+    "    __astral_wait();\n"
+    "  }\n"
+    "  return 0;\n"
+    "}\n";
+
+void partitionedHelperTweak(AnalyzerOptions &O) {
+  O.PartitionFunctions.insert("control_step");
+  O.VolatileRanges["mode"] = Interval(0, 1);
+  O.VolatileRanges["meas"] = Interval(-50, 50);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -167,6 +202,28 @@ TEST(PartitionDispatch, DispatchActuallyFansOut) {
   EXPECT_EQ(S.Stats.get("parallel.partitions.dispatched"), 0u);
   EXPECT_EQ(S.Stats.get("parallel.partitions.max_width"), 0u);
   EXPECT_EQ(S.Stats.get("parallel.partition_dispatch_par"), 0u);
+}
+
+TEST(PartitionDispatch, PartitionedHelperMatchesSequentialBitwise) {
+  expectMatrixIdentical(PartitionedHelperSrc, partitionedHelperTweak);
+}
+
+TEST(PartitionDispatch, PrototypeHavocMatchesSequentialBitwise) {
+  // MaxCallDepth 1: control_step still inlines from main, but the clamp
+  // helper inside it exceeds the depth and degrades to the prototype havoc
+  // (return target forgotten), once per partition. Byte-identity must hold,
+  // and the precision loss must be the same loss everywhere.
+  auto Tweak = [](AnalyzerOptions &O) {
+    partitionedHelperTweak(O);
+    O.MaxCallDepth = 1;
+  };
+  expectMatrixIdentical(PartitionedHelperSrc, Tweak);
+
+  AnalysisResult R = analyzeSource(PartitionedHelperSrc, Tweak);
+  ASSERT_TRUE(R.FrontendOk);
+  // The havocked return makes m unbounded: the |out| assertions can no
+  // longer be proved, unlike the fully inlined run (0 alarms).
+  EXPECT_GT(R.Alarms.size(), 0u);
 }
 
 TEST(PartitionDispatch, RandomizedNestedPartitionedFunctions) {
@@ -206,6 +263,62 @@ TEST(PartitionDispatch, RandomizedNestedPartitionedFunctions) {
 
     expectMatrixIdentical(Src.str(), [Depth](AnalyzerOptions &O) {
       for (unsigned L = 0; L < Depth; ++L)
+        O.PartitionFunctions.insert("f" + std::to_string(L));
+      O.VolatileRanges["sel"] = Interval(0, 4);
+      O.VolatileRanges["in"] = Interval(-30, 30);
+    });
+  }
+}
+
+TEST(PartitionDispatch, RandomizedCallTreesMatchSequentialBitwise) {
+  // Randomized call trees: a chain of callees — every other one
+  // partitioned, so call sites inside them see multi-environment
+  // disjunctions and inline their callee once per environment — with value
+  // and reference parameters, mode switches, loops and early returns mixed
+  // in per seed. Every shape must reproduce the sequential report bitwise
+  // across the whole matrix.
+  for (unsigned Seed = 1; Seed <= 4; ++Seed) {
+    std::mt19937 Rng(Seed);
+    unsigned Depth = 2 + Seed % 2; // 2-3 nested callees
+    std::ostringstream Src;
+    Src << "volatile int sel; volatile float in;\n"
+        << "float y; float z;\n";
+    for (unsigned L = 0; L < Depth; ++L) {
+      unsigned Ifs = 1 + Rng() % 3;
+      // Leaf takes a reference parameter it writes through; inner levels
+      // pass the global accumulator down by address.
+      if (L + 1 == Depth)
+        Src << "float f" << L << "(float s, float *o) {\n"
+            << "  float t; float u;\n  t = s;\n";
+      else
+        Src << "float f" << L << "(float s) {\n"
+            << "  float t; float u;\n  t = s;\n";
+      for (unsigned I = 0; I < Ifs; ++I) {
+        double Inc = 1.0 + (Rng() % 5);
+        Src << "  if (sel > " << (Rng() % 4) << ") { t = t + " << Inc
+            << "f; } else { t = t - " << Inc << "f; }\n";
+      }
+      if (L + 1 < Depth) {
+        if (L + 2 == Depth)
+          Src << "  u = f" << (L + 1) << "(t, &z);\n";
+        else
+          Src << "  u = f" << (L + 1) << "(t);\n";
+      } else {
+        Src << "  *o = *o + 0.0f;\n  u = in;\n";
+      }
+      if (Rng() % 2) {
+        Src << "  int i; i = 0;\n  while (i < 3) {\n    i = i + 1;\n"
+            << "    if (u > 20.0f) { break; }\n    u = u + t;\n  }\n";
+      }
+      if (Rng() % 2)
+        Src << "  if (sel == 0) { return t; }\n";
+      Src << "  return t + u * 0.0f;\n}\n";
+    }
+    Src << "int main(void) {\n  z = 0.0f;\n  while (1) {\n"
+        << "    y = f0(in);\n    __astral_wait();\n  }\n  return 0;\n}\n";
+
+    expectMatrixIdentical(Src.str(), [Depth](AnalyzerOptions &O) {
+      for (unsigned L = 0; L < Depth; L += 2)
         O.PartitionFunctions.insert("f" + std::to_string(L));
       O.VolatileRanges["sel"] = Interval(0, 4);
       O.VolatileRanges["in"] = Interval(-30, 30);

@@ -177,14 +177,16 @@ TEST(PersistentMap, ForEachDiffAbsentSides) {
 }
 
 TEST(PersistentMap, MemoryTrackerSeesNodes) {
-  size_t Before = memtrack::liveBytes();
+  memtrack::Counter Meter;
+  memtrack::CounterScope Scope(&Meter);
+  size_t Before = Meter.liveBytes();
   {
     PersistentMap<int> M;
     for (uint32_t I = 0; I < 64; ++I)
       M = M.set(I, 1);
-    EXPECT_GT(memtrack::liveBytes(), Before);
+    EXPECT_GT(Meter.liveBytes(), Before);
   }
-  EXPECT_EQ(memtrack::liveBytes(), Before);
+  EXPECT_EQ(Meter.liveBytes(), Before);
 }
 
 // Property test: behaves exactly like std::map under random workloads.

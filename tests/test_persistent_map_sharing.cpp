@@ -78,9 +78,11 @@ TEST(PersistentMapSharing, DeepOverwriteSharesAllButOnePath) {
 
   // Overwriting one deep key must allocate O(log n) fresh nodes (the copied
   // root-to-key path), never O(n).
-  size_t Before = memtrack::liveBytes();
+  memtrack::Counter Meter;
+  memtrack::CounterScope Scope(&Meter);
+  size_t Before = Meter.liveBytes();
   IntMap M2 = M.set(1234, -1);
-  size_t After = memtrack::liveBytes();
+  size_t After = Meter.liveBytes();
   size_t NodeSize = 64; // conservative lower bound on sizeof(Node)
   EXPECT_LE(After - Before, 3 * 20 * NodeSize)
       << "overwrite copied far more than one path of a height-~13 AVL";

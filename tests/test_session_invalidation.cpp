@@ -76,13 +76,6 @@ const std::vector<MatrixCase> &matrix() {
       {"restricted packs",
        [](AnalyzerOptions &O) { O.UseRestrictedPacks = !O.UseRestrictedPacks; },
        StaleFrom::Packing},
-      {"octagon closure mode",
-       [](AnalyzerOptions &O) {
-         O.OctagonClosure = O.OctagonClosure == OctClosureMode::Full
-                                ? OctClosureMode::Incremental
-                                : OctClosureMode::Full;
-       },
-       StaleFrom::Packing},
       {"jobs", [](AnalyzerOptions &O) { O.Jobs = O.Jobs == 4 ? 2 : 4; },
        StaleFrom::Execution},
       {"extra threshold",

@@ -7,6 +7,7 @@
 
 #include "analyzer/SpecDirectives.h"
 
+#include "analyzer/CliOptions.h"
 #include "analyzer/Scheduler.h"
 
 #include <gtest/gtest.h>
@@ -70,9 +71,14 @@ TEST(SpecDirectives, MalformedDirectivesWarnAndDoNotApply) {
       "/* @astral volatile speed 300 0 */\n" // inverted range
       "/* @astral volatile speed */\n"    // missing bounds
       "/* @astral unroll two */\n"        // non-numeric
-      "/* @astral frobnicate 1 */\n",     // unknown kind
+      "/* @astral frobnicate 1 */\n"      // unknown kind
+      // Deleted execution options are unknown kinds too.
+      "/* @astral call-memo off */\n"
+      "/* @astral call-dispatch seq */\n"
+      "/* @astral pack-dispatch seq */\n"
+      "/* @astral octagon-closure full */\n",
       Opts);
-  EXPECT_EQ(W.size(), 6u);
+  EXPECT_EQ(W.size(), 10u);
   // Nothing was applied.
   EXPECT_EQ(Opts.ClockMax, Defaults.ClockMax);
   EXPECT_TRUE(Opts.VolatileRanges.empty());
@@ -81,6 +87,9 @@ TEST(SpecDirectives, MalformedDirectivesWarnAndDoNotApply) {
   EXPECT_NE(W[0].find("line 1"), std::string::npos);
   EXPECT_NE(W[0].find("clock-max"), std::string::npos);
   EXPECT_NE(W[5].find("frobnicate"), std::string::npos);
+  for (size_t I = 5; I < W.size(); ++I)
+    EXPECT_NE(W[I].find("unknown @astral directive"), std::string::npos)
+        << W[I];
 }
 
 TEST(SpecDirectives, NonDirectiveTextIsIgnored) {
@@ -141,44 +150,14 @@ TEST(SpecDirectives, JobsAboveHardwareWarnsOnce) {
   }
 }
 
-TEST(SpecDirectives, PackDispatchModeParses) {
-  AnalyzerOptions Opts;
-  std::vector<std::string> W =
-      applySpecDirectives("/* @astral pack-dispatch seq */", Opts);
-  EXPECT_TRUE(W.empty()) << W.front();
-  EXPECT_EQ(Opts.PackDispatch, PackDispatchMode::Sequential);
-  W = applySpecDirectives("/* @astral pack-dispatch groups */", Opts);
-  EXPECT_TRUE(W.empty()) << W.front();
-  EXPECT_EQ(Opts.PackDispatch, PackDispatchMode::Groups);
-}
-
-TEST(SpecDirectives, MalformedPackDispatchWarns) {
-  AnalyzerOptions Defaults;
-  AnalyzerOptions Opts;
-  std::vector<std::string> W =
-      applySpecDirectives("/* @astral pack-dispatch sometimes */", Opts);
-  ASSERT_EQ(W.size(), 1u);
-  EXPECT_NE(W[0].find("pack-dispatch"), std::string::npos);
-  EXPECT_EQ(Opts.PackDispatch, Defaults.PackDispatch);
-}
-
-TEST(SpecDirectives, OctagonClosureModeParses) {
-  AnalyzerOptions Opts;
-  std::vector<std::string> W =
-      applySpecDirectives("/* @astral octagon-closure full */", Opts);
-  EXPECT_TRUE(W.empty()) << W.front();
-  EXPECT_EQ(Opts.OctagonClosure, OctClosureMode::Full);
-  W = applySpecDirectives("/* @astral octagon-closure incremental */", Opts);
-  EXPECT_TRUE(W.empty()) << W.front();
-  EXPECT_EQ(Opts.OctagonClosure, OctClosureMode::Incremental);
-}
-
-TEST(SpecDirectives, MalformedOctagonClosureWarns) {
-  AnalyzerOptions Defaults;
-  AnalyzerOptions Opts;
-  std::vector<std::string> W =
-      applySpecDirectives("/* @astral octagon-closure sometimes */", Opts);
-  ASSERT_EQ(W.size(), 1u);
-  EXPECT_NE(W[0].find("octagon-closure"), std::string::npos);
-  EXPECT_EQ(Opts.OctagonClosure, Defaults.OctagonClosure);
+TEST(CliFlags, RemovedFlagsAndAliasesAreUnknown) {
+  for (const char *Gone :
+       {"--call-memo=off", "--call-dispatch=seq", "--pack-dispatch=seq",
+        "--octagon-closure=full", "--octagons", "--no-octagons",
+        "--no-ellipsoids", "--no-trees", "--no-clock", "--no-packing"}) {
+    cli::CliOptions Cli;
+    cli::ParseOutcome P = cli::parseArgs({Gone, "prog.c"}, Cli);
+    EXPECT_FALSE(P.Ok) << Gone;
+    EXPECT_NE(P.Error.find("unknown flag"), std::string::npos) << Gone;
+  }
 }

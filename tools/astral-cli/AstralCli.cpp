@@ -52,8 +52,6 @@ namespace {
 int runOneShot(const std::vector<std::string> &Args) {
   cli::CliOptions Cli;
   cli::ParseOutcome Parsed = cli::parseArgs(Args, Cli);
-  for (const std::string &W : Parsed.Warnings)
-    std::fprintf(stderr, "%s\n", W.c_str());
   if (Parsed.ShowHelp) {
     cli::printUsage(stdout);
     return 0;
