@@ -8,12 +8,11 @@
 // count on the largest quick family member, in the granularities the
 // Scheduler offers:
 //
-//   single — one file. AnalyzerOptions::Jobs fans the per-(domain, pack)
-//            lattice slots out over the pool; the channel-feeding
-//            reduction chains stay sequential.
-//   partition — examples/partitioned_switch.cpp under --partition-dispatch
-//            seq vs par: the trace-partition grain, fanning the delayed
-//            disjunction's environments over the pool per statement. The
+//   single — one file. Within a file, AnalyzerOptions::Jobs fans only the
+//            trace partitions of `if` statements inside `@astral
+//            partition` functions out over the pool.
+//   partition — examples/partitioned_switch.cpp: the same trace-partition
+//            grain on the controller that exists to exercise it. The
 //            controller is small, so each configuration is timed over
 //            repeated whole analyses.
 //   batch  — AnalysisSession::analyzeBatch schedules whole copies of the
@@ -53,10 +52,6 @@ std::string fingerprint(const AnalysisResult &R) {
     F += "|" + Name + "=" + Itv.toString();
   F += "|" + R.MainLoopInvariant;
   return F;
-}
-
-const char *partitionDispatchName(PartitionDispatchMode M) {
-  return M == PartitionDispatchMode::Parallel ? "par" : "seq";
 }
 
 /// Loads examples/partitioned_switch.cpp and extracts the input program it
@@ -112,7 +107,7 @@ int main() {
 
   const unsigned JobsSeries[] = {1, 2, 4, 8};
 
-  // -- single-file: lattice slots ----------------------------------------
+  // -- single-file: trace partitions of one family member -----------------
   std::string SeqPrint;
   double SeqSingle = 0.0;
   for (unsigned Jobs : JobsSeries) {
@@ -141,8 +136,6 @@ int main() {
   hr();
 
   // -- partition: trace-partition dispatch on the partitioned example -----
-  // The partition dimension is the inner loop for the same warm-allocator
-  // fairness as the single-file series above.
   std::string PartSource = loadPartitionedExample();
   if (PartSource.empty()) {
     std::puts("error: examples/partitioned_switch.cpp not found from this "
@@ -153,38 +146,32 @@ int main() {
   std::string PartSeqPrint;
   double PartSeqSec = 0.0;
   for (unsigned Jobs : JobsSeries) {
-    for (PartitionDispatchMode Mode : {PartitionDispatchMode::Sequential,
-                                       PartitionDispatchMode::Parallel}) {
-      AnalysisInput In;
-      In.Source = PartSource;
-      applySpecDirectives(In.Source, In.Options);
-      In.Options.Jobs = Jobs;
-      In.Options.PartitionDispatch = Mode;
-      std::string Print;
-      Timer T;
-      for (unsigned Rep = 0; Rep < PartReps; ++Rep) {
-        AnalysisResult R = Analyzer::analyze(In);
-        if (!R.FrontendOk) {
-          std::printf("frontend failed: %s\n", R.FrontendErrors.c_str());
-          return 1;
-        }
-        Print = fingerprint(R);
-      }
-      double Sec = T.seconds();
-      if (Jobs == 1 && Mode == PartitionDispatchMode::Sequential) {
-        PartSeqPrint = Print;
-        PartSeqSec = Sec;
-      } else if (Print != PartSeqPrint) {
-        std::printf("DETERMINISM VIOLATION: partition jobs=%u dispatch=%s "
-                    "report differs\n",
-                    Jobs, partitionDispatchName(Mode));
+    AnalysisInput In;
+    In.Source = PartSource;
+    applySpecDirectives(In.Source, In.Options);
+    In.Options.Jobs = Jobs;
+    std::string Print;
+    Timer T;
+    for (unsigned Rep = 0; Rep < PartReps; ++Rep) {
+      AnalysisResult R = Analyzer::analyze(In);
+      if (!R.FrontendOk) {
+        std::printf("frontend failed: %s\n", R.FrontendErrors.c_str());
         return 1;
       }
-      std::printf("PARALLEL partition jobs=%u dispatch=%s seconds=%.3f "
-                  "speedup=%.2f reps=%u\n",
-                  Jobs, partitionDispatchName(Mode), Sec, PartSeqSec / Sec,
-                  PartReps);
+      Print = fingerprint(R);
     }
+    double Sec = T.seconds();
+    if (Jobs == 1) {
+      PartSeqPrint = Print;
+      PartSeqSec = Sec;
+    } else if (Print != PartSeqPrint) {
+      std::printf("DETERMINISM VIOLATION: partition jobs=%u report differs\n",
+                  Jobs);
+      return 1;
+    }
+    std::printf("PARALLEL partition jobs=%u seconds=%.3f speedup=%.2f "
+                "reps=%u\n",
+                Jobs, Sec, PartSeqSec / Sec, PartReps);
   }
   hr();
 
@@ -217,6 +204,6 @@ int main() {
   std::puts("expected shape: batch speedup grows toward the worker count "
             "(whole-file dispatch);");
   std::puts("single-file speedup tracks how much of the member's work is "
-            "slot-level lattice operations on a multi-core host.");
+            "partition fan-out on a multi-core host.");
   return 0;
 }

@@ -77,11 +77,10 @@ echo "bench_domains: wrote $OUT"
 
 # ---------------------------------------------------------------------------
 # BENCH_parallel.json: speedup-vs-jobs series from bench_parallel_jobs.
-# Rows: "PARALLEL single jobs=N seconds=S speedup=X alarms=A" (the
-#        slot-level lattice stages), "PARALLEL partition jobs=N
-#        dispatch=seq|par seconds=S speedup=X reps=R" (the trace-partition
-#        grain on examples/partitioned_switch.cpp) and "PARALLEL batch
-#        jobs=N files=K seconds=S speedup=X".
+# Rows: "PARALLEL single jobs=N seconds=S speedup=X alarms=A" (one family
+#        member), "PARALLEL partition jobs=N seconds=S speedup=X reps=R"
+#        (the trace-partition grain on examples/partitioned_switch.cpp) and
+#        "PARALLEL batch jobs=N files=K seconds=S speedup=X".
 # ---------------------------------------------------------------------------
 # Surface the bench's own diagnostic (e.g. "DETERMINISM VIOLATION ...") on
 # failure — it prints to stdout, which the capture would otherwise swallow.
@@ -94,20 +93,15 @@ fi
 par_series() { # $1 = single|partition|batch
   printf '%s\n' "$PAR_RAW" | awk -v kind="$1" '
     $1 == "PARALLEL" && $2 == kind {
-      jobs = seconds = speedup = dispatch = ""
+      jobs = seconds = speedup = ""
       for (i = 3; i <= NF; i++) {
         split($i, kv, "=")
         if (kv[1] == "jobs") jobs = kv[2]
         if (kv[1] == "seconds") seconds = kv[2]
         if (kv[1] == "speedup") speedup = kv[2]
-        if (kv[1] == "dispatch") dispatch = kv[2]
       }
-      if (dispatch != "")
-        rows[n++] = sprintf("    {\"jobs\": %s, \"dispatch\": \"%s\", \"seconds\": %s, \"speedup\": %s}",
-                            jobs, dispatch, seconds, speedup)
-      else
-        rows[n++] = sprintf("    {\"jobs\": %s, \"seconds\": %s, \"speedup\": %s}",
-                            jobs, seconds, speedup)
+      rows[n++] = sprintf("    {\"jobs\": %s, \"seconds\": %s, \"speedup\": %s}",
+                          jobs, seconds, speedup)
     }
     END { for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i + 1 < n ? "," : "") }'
 }

@@ -23,9 +23,6 @@ cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R "test_scheduler|test_analysis_session|test_iterator|test_domain_registry|test_octagon|test_partition_dispatch|test_service|test_interference|test_cancellation"
 
-echo
-echo "== determinism matrix: jobs x partition-dispatch (CI parity) =="
-scripts/determinism_matrix.sh build
 
 echo
 echo "== serve smoke: daemon conformance + cache proof (CI parity) =="
@@ -41,10 +38,10 @@ build/tools/astral-cli examples/flight_control.cpp --dump-invariants >/dev/null
 build/tools/astral-cli examples/quickstart.cpp --json --fail-on-alarms >/dev/null
 build/tools/astral-cli examples/rate_limiter_clocked.cpp --json --jobs=8 --fail-on-alarms >/dev/null
 build/tools/astral-cli examples/flight_control.cpp --json --jobs=0 >/dev/null
-build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --partition-dispatch=seq --dump-stats >/dev/null 2>&1
+build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --dump-stats >/dev/null 2>&1
 build/tools/astral-cli examples/thread_handoff.cpp examples/thread_mode_table.cpp --json --jobs=8 >/dev/null
 build-tsan/tools/astral-cli examples/quickstart.cpp examples/interp_table.cpp --json --jobs=8 >/dev/null
-build-tsan/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --partition-dispatch=par >/dev/null
+build-tsan/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 >/dev/null
 build-tsan/tools/astral-cli examples/thread_handoff.cpp --json --jobs=8 >/dev/null
 
 echo

@@ -146,13 +146,10 @@ void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
     W.field("volatile_range", std::string(Buf));
   }
   W.field("clock_max", O.ClockMax);
-  // Jobs and the partition dispatch mode cannot change the report (the
-  // determinism guarantee), but they do change the execution artifact's
-  // work-metering statistics — so they fingerprint into the execution
-  // phase, never into the shareable ones.
+  // Jobs cannot change the report (the determinism guarantee), but it does
+  // change the execution artifact's work-metering statistics — so it
+  // fingerprints into the execution phase, never into the shareable ones.
   W.field("jobs", uint64_t(O.Jobs));
-  W.field("partition_dispatch",
-          uint64_t(static_cast<uint8_t>(O.PartitionDispatch)));
   W.field("max_call_depth", uint64_t(O.MaxCallDepth));
   W.field("record_loop_invariants", O.RecordLoopInvariants);
   // Resource governance fingerprints into the execution phase only: the
@@ -437,8 +434,7 @@ const AnalysisSession::PackingPhase &AnalysisSession::buildPacks() {
   PackingPhase P;
   if (AdoptedPacks) {
     // Cache hit: the immutable pack tables arrive from a twin content key;
-    // only the per-session registry (closure-stats sink, group plans) is
-    // rebuilt below.
+    // only the per-session registry (closure-stats sink) is rebuilt below.
     P.Packs = std::move(AdoptedPacks);
   } else {
     P.Packs = std::make_shared<const Packing>(
@@ -564,11 +560,11 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   Mem.resetPeak();
   AlarmSet Alarms;
 
-  // The scheduler is ambient for the whole phase: the per-slot lattice and
-  // reduction stages of AbstractEnv/Transfer fan out over it. Except when
-  // this session already runs *inside* a pool task (a batch file on a
-  // worker): nested parallelFor would only run inline, so installing the
-  // pool there would pay the staging overhead for nothing.
+  // The scheduler is ambient for the whole phase: the Iterator's partition
+  // dispatch and the interference rounds fan out over it. Except when this
+  // session already runs *inside* a pool task (a batch file on a worker):
+  // nested parallelFor would only run inline, so installing the pool there
+  // would pay the staging overhead for nothing.
   SchedulerScope Scope(Scheduler::inWorkerTask() ? nullptr
                                                  : schedulerForRun());
   Timer AnalysisTimer;
@@ -586,7 +582,7 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     // concurrency::ConcurrentAnalysis replace the single sequential run.
     // Per-thread analyses fan out over the same ambient scheduler; every
     // merge is in thread-declaration order, so the report stays
-    // byte-identical across --jobs and both partition-dispatch modes.
+    // byte-identical across --jobs.
     concurrency::ConcurrentAnalysis CA(*Frontend->Program, *Layout->Layout,
                                        *P.Registry, In.Options, E.Stats);
     concurrency::ConcurrentResult CR = CA.run();
@@ -617,14 +613,10 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   E.Stats.set("analysis.octagon_closures", FullSweeps + IncSweeps);
   E.Stats.set("analysis.octagon_closures_full", FullSweeps);
   E.Stats.set("analysis.octagon_closures_incremental", IncSweeps);
-  // Trace-partition dispatch shape: the mode plus the widest disjunction
-  // the Iterator actually fanned out (`parallel.partitions.dispatched`
-  // accumulates per-dispatch widths during the run) — the proof the grain
-  // ran, used by the determinism matrix and the dispatch tests.
-  E.Stats.set("parallel.partition_dispatch_par",
-              In.Options.PartitionDispatch == PartitionDispatchMode::Parallel
-                  ? 1
-                  : 0);
+  // Trace-partition dispatch shape: the widest disjunction the Iterator
+  // actually fanned out (`parallel.partitions.dispatched` accumulates
+  // per-dispatch widths during the run) — the proof the grain ran, used by
+  // the golden matrix and the dispatch tests.
   E.Stats.set("parallel.partitions.max_width", MaxPartitionWidth);
   return E;
 }
@@ -729,8 +721,8 @@ AnalysisSession::analyzeBatch(const std::vector<AnalysisInput> &Inputs) {
   std::shared_ptr<Scheduler> Pool = Scheduler::create(Jobs);
 
   // Whole files are the tasks (Monniaux's coarse-grained dispatch); a
-  // file's own slot stages run inline on its worker, so one pool serves
-  // both granularities without oversubscription.
+  // file's own partition dispatch runs inline on its worker, so one pool
+  // serves both granularities without oversubscription.
   Pool->parallelFor(Inputs.size(), [&](size_t I) {
     AnalysisSession S(Inputs[I]);
     S.setScheduler(Pool);

@@ -34,15 +34,15 @@
 /// concurrent sessions sharing artifacts never share meters.
 ///
 /// Execution policy: AnalyzerOptions::Jobs selects the Scheduler
-/// (Scheduler.h) installed for the abstract-execution phase. The per-slot
-/// lattice and reduction stages then fan out over the registry's
-/// (domain, pack) slots, and analyzeBatch() schedules whole files across
-/// the same pool. The analysis semantics — alarms, ranges, invariants,
-/// pack census, everything the report layer prints — are byte-identical
-/// for every Jobs value: slot results are computed independently and
-/// applied in deterministic slot order. Work-metering figures are not:
-/// a parallel inclusion check evaluates slots a sequential one would
-/// short-circuit past. Both meter families are per-session — the octagon
+/// (Scheduler.h) installed for the abstract-execution phase. The trace
+/// partitions of an `If` inside an `@astral partition` function and the
+/// per-thread runs of an interference round then fan out over it, and
+/// analyzeBatch() schedules whole files across the same pool. The analysis
+/// semantics — alarms, ranges, invariants, pack census, everything the
+/// report layer prints — are byte-identical for every Jobs value: every
+/// worker's effects are merged in partition (or thread-declaration) order.
+/// Work-metering figures are not: the dispatch counters count only what
+/// actually fanned out. Both meter families are per-session — the octagon
 /// closure counters (the DomainRegistry owns the sink) and the peak
 /// abstract bytes (the session owns a memtrack::Counter that the Scheduler
 /// re-installs on every worker running the session's tasks) — so batch
@@ -111,8 +111,7 @@ public:
 
   /// Packing artifact: the packs (immutable, shareable), the registry of
   /// enabled relational domains over them (per-session: it owns the
-  /// closure-stats sink and the group plans), and the per-domain pack
-  /// census.
+  /// closure-stats sink), and the per-domain pack census.
   struct PackingPhase {
     std::shared_ptr<const Packing> Packs;
     std::unique_ptr<DomainRegistry> Registry;

@@ -190,23 +190,16 @@ void printUsage(std::FILE *Out) {
       "reads from stdin.\n"
       "\n"
       "execution policy:\n"
-      "  --jobs <n>, --jobs=<n>       worker threads for the parallel\n"
-      "                               lattice/reduction stages and for\n"
-      "                               scheduling batch files (default: 1;\n"
-      "                               0 = one per hardware thread, i.e.\n"
-      "                               hardware_concurrency; values above\n"
-      "                               the hardware thread count warn once).\n"
-      "                               Reports are byte-identical for every\n"
-      "                               value.\n"
-      "  --partition-dispatch=<mode>  trace-partition dispatch inside\n"
-      "                               `@astral partition` functions: 'par'\n"
-      "                               (default) fans the disjunction's\n"
-      "                               environments out over the worker\n"
-      "                               pool with a deterministic\n"
-      "                               partition-order merge; 'seq' keeps\n"
-      "                               the historical per-partition loop.\n"
-      "                               Both modes produce identical\n"
-      "                               reports.\n"
+      "  --jobs <n>, --jobs=<n>       worker threads for scheduling batch\n"
+      "                               files, for the trace partitions of\n"
+      "                               `if` statements inside `@astral\n"
+      "                               partition` functions and for the\n"
+      "                               thread runs of threaded programs\n"
+      "                               (default: 1; 0 = one per hardware\n"
+      "                               thread, i.e. hardware_concurrency;\n"
+      "                               values above the hardware thread\n"
+      "                               count warn once). Reports are\n"
+      "                               byte-identical for every value.\n"
       "\n"
       "domain selection:\n"
       "  --domains=<list>             enabled abstract domains, a comma-\n"
@@ -246,8 +239,8 @@ void printUsage(std::FILE *Out) {
       "  `@astral clock-max 3.6e6`, `@astral partition f`,\n"
       "  `@astral threshold 500`, `@astral entry main`,\n"
       "  `@astral domains interval,octagon`, `@astral jobs 4`,\n"
-      "  `@astral partition-dispatch par`, `@astral thread t1 worker`\n"
-      "  (one thread per directive; flags override directives).\n"
+      "  `@astral thread t1 worker` (one thread per directive; flags\n"
+      "  override directives).\n"
       "\n"
       "resource governance:\n"
       "  --deadline-ms=<n>            wall-clock deadline for the analysis\n"
@@ -418,30 +411,6 @@ ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
         for (const auto &T : Threads)
           O.Threads.push_back(T);
       });
-    } else if (A == "--partition-dispatch" ||
-               A.rfind("--partition-dispatch=", 0) == 0) {
-      std::string Val;
-      if (A == "--partition-dispatch") {
-        auto V = NextValue("--partition-dispatch");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--partition-dispatch=").size());
-      }
-      std::optional<PartitionDispatchMode> Mode;
-      if (Val == "seq")
-        Mode = PartitionDispatchMode::Sequential;
-      else if (Val == "par")
-        Mode = PartitionDispatchMode::Parallel;
-      if (!Mode) {
-        Failf("astral-cli: error: --partition-dispatch expects 'seq' or "
-              "'par', got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.PartitionDispatch = *Mode; });
     } else if (A == "--deadline-ms" || A.rfind("--deadline-ms=", 0) == 0) {
       std::string Val;
       if (A == "--deadline-ms") {

@@ -257,9 +257,8 @@ Iterator::Disjunction Iterator::runPartitioned(
     Disjunction D,
     const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn) {
   const size_t N = D.size();
-  if (Opts.PartitionDispatch != PartitionDispatchMode::Parallel ||
-      !Scheduler::wouldFanOut(N)) {
-    // The historical path: every partition inline, in partition order.
+  if (!Scheduler::wouldFanOut(N)) {
+    // Every partition inline, in partition order.
     Disjunction Out;
     for (AbstractEnv &E : D) {
       Disjunction R = Fn(*this, std::move(E));
@@ -329,16 +328,9 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     return D;
   }
   case StmtKind::Assign: {
-    if (D.size() == 1) {
-      // The width-1 fast path: no dispatch bookkeeping on the hot loop.
-      D[0] = T.assign(std::move(D[0]), S->Lhs, S->Rhs);
-      return D;
-    }
-    return runPartitioned(std::move(D), [S](Iterator &W, AbstractEnv E) {
-      Disjunction R;
-      R.push_back(W.T.assign(std::move(E), S->Lhs, S->Rhs));
-      return R;
-    });
+    for (AbstractEnv &E : D)
+      E = T.assign(std::move(E), S->Lhs, S->Rhs);
+    return D;
   }
   case StmtKind::If: {
     Disjunction Out =

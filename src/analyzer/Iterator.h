@@ -89,14 +89,13 @@ private:
   /// folded — the master replays them in canonical partition order.
   Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms);
 
-  /// Runs \p Fn over every environment of \p D — the per-partition loops of
-  /// execStmt (Assign, If fan-out) — fanning the partitions out over the
-  /// ambient Scheduler under --partition-dispatch=par, inline in partition
-  /// order otherwise. The per-partition result disjunctions are
-  /// concatenated in partition order, and every worker side effect (alarms,
-  /// accumulator folds, loop invariants, pack-usefulness flags) is replayed
-  /// in the exact sequential operation sequence, so the parallel path is
-  /// byte-identical to the historical loop.
+  /// Runs \p Fn over every environment of \p D — execStmt's If fan-out —
+  /// fanning the partitions out over the ambient Scheduler when it has
+  /// workers, inline in partition order otherwise. The per-partition result
+  /// disjunctions are concatenated in partition order, and every worker
+  /// side effect (alarms, accumulator folds, loop invariants, pack-usefulness
+  /// flags) is replayed in the exact sequential operation sequence, so the
+  /// parallel path is byte-identical to the inline loop.
   Disjunction
   runPartitioned(Disjunction D,
                  const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn);

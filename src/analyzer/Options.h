@@ -29,19 +29,6 @@
 
 namespace astral {
 
-/// Partition-level dispatch of the Iterator's per-partition statement loops
-/// (Assign and If fan-out inside `@astral partition` functions) — the one
-/// within-file grain that fans whole environments out:
-///  - Sequential: the historical path, every partition of the disjunction
-///    in partition order on the calling thread.
-///  - Parallel: the disjunction's environments fan out over the ambient
-///    Scheduler; each worker runs against its own iteration context (a
-///    sub-Iterator whose shared stack levels only *collect* pending
-///    break/continue/return environments), and a deterministic merge
-///    replays every buffered effect in partition order — the exact
-///    sequential operation sequence, so reports stay byte-identical.
-enum class PartitionDispatchMode : uint8_t { Sequential, Parallel };
-
 struct AnalyzerOptions {
   // -- Abstract domain selection (Sect. 6.2; the refinement sequence of the
   //    alarm experiment E2 ablates these one by one) ------------------------
@@ -99,27 +86,19 @@ struct AnalyzerOptions {
   double ClockMax = 3.6e6;
 
   // -- Execution policy ---------------------------------------------------------
-  /// Worker threads for the parallel lattice/reduction stages and for
-  /// AnalysisSession::analyzeBatch (Monniaux's parallel Astrée direction).
-  /// 1 = sequential (default); 0 = one per hardware thread
-  /// (std::thread::hardware_concurrency, resolved by
-  /// Scheduler::effectiveJobs). Requests above the hardware thread count
-  /// warn once — oversubscription only adds contention to the CPU-bound
-  /// stages. Any value produces the same analysis semantics byte for byte —
-  /// alarms, ranges, invariants, pack census, everything the report layer
-  /// prints — via deterministic slot ordering. Work-metering statistics
-  /// (octagon closures, evaluation counts) meter the execution strategy
-  /// itself and are outside that guarantee.
+  /// Worker threads for AnalysisSession::analyzeBatch, for the
+  /// trace-partition fan-out of `If` statements inside `@astral partition`
+  /// functions, and for the interference rounds of threaded programs
+  /// (Monniaux's parallel Astrée direction). 1 = sequential (default);
+  /// 0 = one per hardware thread (std::thread::hardware_concurrency,
+  /// resolved by Scheduler::effectiveJobs). Requests above the hardware
+  /// thread count warn once — oversubscription only adds contention to the
+  /// CPU-bound stages. Any value produces the same analysis semantics byte
+  /// for byte — alarms, ranges, invariants, pack census, everything the
+  /// report layer prints — via a merge in partition order. Work-metering
+  /// statistics (dispatch counts, octagon closures) meter the execution
+  /// strategy itself and are outside that guarantee.
   unsigned Jobs = 1;
-
-  /// Dispatch of the Iterator's per-partition loops (--partition-dispatch=
-  /// seq|par, `@astral partition-dispatch`). Parallel (the default) fans
-  /// trace partitions out over the scheduler inside `@astral partition`
-  /// functions; Sequential keeps the historical single-thread path
-  /// selectable for differential benching. Both modes produce identical
-  /// reports; with Jobs == 1 there is no pool and Parallel degrades to the
-  /// sequential loop.
-  PartitionDispatchMode PartitionDispatch = PartitionDispatchMode::Parallel;
 
   // -- Resource governance (deadlines + memory budgets) -------------------------
   /// Wall-clock deadline for the abstract-execution phase, in milliseconds;
@@ -132,9 +111,9 @@ struct AnalyzerOptions {
   /// Abstract-state byte budget checked against the session's deterministic
   /// memtrack live figure at master-thread sequential points (never wall
   /// clock, never worker-local state — that is what keeps budget outcomes
-  /// byte-identical across the jobs x dispatch matrix); 0 = none. The
-  /// --memory-budget-mb flag sets this in whole MiB; tests set bytes
-  /// directly for precise trigger points.
+  /// byte-identical across --jobs); 0 = none. The --memory-budget-mb flag
+  /// sets this in whole MiB; tests set bytes directly for precise trigger
+  /// points.
   uint64_t MemoryBudgetBytes = 0;
 
   /// What crossing the budget does (--on-budget=degrade|fail):

@@ -227,17 +227,22 @@ void ThreadPoolScheduler::parallelFor(size_t N,
 
   // The submitting thread works too, then blocks until stragglers finish.
   runTasks(*B);
+  // The error leaves the batch under its lock: a worker may still hold the
+  // last reference to the batch, and must not be the one that releases the
+  // exception the caller is handling.
+  std::exception_ptr Error;
   {
     std::unique_lock<std::mutex> L(B->Mu);
     B->AllDone.wait(L, [&] {
       return B->Done.load(std::memory_order_acquire) == B->N;
     });
+    Error = std::move(B->FirstError);
   }
   {
     std::lock_guard<std::mutex> L(Mu);
     if (Current == B)
       Current = nullptr;
   }
-  if (B->FirstError)
-    std::rethrow_exception(B->FirstError);
+  if (Error)
+    std::rethrow_exception(Error);
 }

@@ -31,10 +31,10 @@
 ///     the calling worker — no deadlock, same results.
 ///
 /// The ambient scheduler is a per-thread slot (SchedulerScope) consulted by
-/// the hot lattice loops (AbstractEnv join/widen/narrow/leq, Transfer's
-/// per-(domain, pack) reduction stages), so the deep call paths need no
-/// plumbed-through parameter. Worker threads have no ambient scheduler:
-/// nested lattice operations run sequentially inline.
+/// the Iterator's trace-partition dispatch and the interference rounds
+/// (runGroups), so the deep call paths need no plumbed-through parameter.
+/// Worker threads have no ambient scheduler: nested dispatches run
+/// sequentially inline.
 ///
 //===----------------------------------------------------------------------===//
 

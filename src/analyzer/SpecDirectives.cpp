@@ -104,19 +104,6 @@ astral::applySpecDirectives(const std::string &Source, AnalyzerOptions &Opts) {
           Opts.DefaultUnroll = N;
         else
           Malformed("unroll", "<n>");
-      } else if (Kind == "partition-dispatch") {
-        // Trace-partition dispatch travels with the input like the jobs
-        // count. Both modes produce identical reports (the partition merge
-        // replays every worker effect in partition order), so a checked-in
-        // spec cannot make a golden run diverge.
-        std::string ModeName;
-        Dir >> ModeName;
-        if (ModeName == "seq")
-          Opts.PartitionDispatch = PartitionDispatchMode::Sequential;
-        else if (ModeName == "par")
-          Opts.PartitionDispatch = PartitionDispatchMode::Parallel;
-        else
-          Malformed("partition-dispatch", "<seq|par>");
       } else if (Kind == "jobs") {
         // Execution policy travels with the input (0 = one worker per
         // hardware thread). Reports stay byte-identical for any value, so a

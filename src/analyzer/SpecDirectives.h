@@ -18,7 +18,6 @@
 ///      @astral unroll 2
 ///      @astral domains interval,clocked,octagon,tree,ellipsoid
 ///      @astral jobs 4
-///      @astral partition-dispatch par
 ///      @astral thread sampler sample_loop
 ///      @astral entry main */
 ///

@@ -7,8 +7,6 @@
 
 #include "analyzer/Transfer.h"
 
-#include "analyzer/Scheduler.h"
-
 #include <cassert>
 
 using namespace astral;
@@ -121,9 +119,7 @@ AbstractEnv Transfer::initialEnv() const {
 }
 
 namespace {
-/// Depth of silent evaluations on this thread. Thread-local rather than a
-/// toggled Transfer member so that (a) parallel slot tasks of one Transfer
-/// never race on it and (b) a worker's silence cannot leak to its siblings.
+/// Depth of silent evaluations (evalNoCheck) on this thread.
 thread_local unsigned SilentEvalDepth = 0;
 
 struct SilentEvalGuard {
@@ -133,25 +129,6 @@ struct SilentEvalGuard {
 } // namespace
 
 bool Transfer::checkingNow() const { return Checking && SilentEvalDepth == 0; }
-
-void Transfer::runSlotStage(size_t N, const std::function<void(size_t)> &Task) {
-  // Slot tasks are silenced in *both* modes: they only ever reach the
-  // silent evaluation services (DomainEvalContext), so this is a no-op
-  // today, but it pins the invariant that no alarm can depend on slot
-  // execution order.
-  Scheduler *S = Scheduler::ambient();
-  if (N >= 4 && S && S->concurrency() > 1) {
-    S->parallelFor(N, [&](size_t I) {
-      SilentEvalGuard G;
-      Task(I);
-    });
-    return;
-  }
-  for (size_t I = 0; I < N; ++I) {
-    SilentEvalGuard G;
-    Task(I);
-  }
-}
 
 void Transfer::alarm(const Expr *E, AlarmKind K, const std::string &Msg,
                      bool Definite) {
@@ -613,9 +590,8 @@ void Transfer::relationalForget(AbstractEnv &Env, CellId C,
       continue;
     std::vector<DomainState::Ptr> NewStates(Slots.size());
     TransferEvalContext Ctx(*this, Env);
-    runSlotStage(Slots.size(), [&](size_t I) {
+    for (size_t I = 0; I < Slots.size(); ++I)
       NewStates[I] = Slots[I].second->forget(C, V, Ctx);
-    });
     for (size_t I = 0; I < Slots.size(); ++I)
       if (NewStates[I])
         Env.setRel(D, Slots[I].first, std::move(NewStates[I]));
@@ -1073,8 +1049,8 @@ void Transfer::preJoinReduce(AbstractEnv &A, AbstractEnv &B) {
     if (!Dom.usesPreJoinReduction())
       continue;
     // Both directions of every pack read only the two pre-states (cell maps
-    // are untouched here), so the staged sweep is exactly the sequential
-    // semantics.
+    // are untouched here): every new state is computed before any is
+    // applied.
     TransferEvalContext CtxA(*this, A), CtxB(*this, B);
     std::vector<std::tuple<PackId, DomainState::Ptr, DomainState::Ptr>> Slots;
     Dom.forEachPack([&](PackId Pack) {
@@ -1088,10 +1064,10 @@ void Transfer::preJoinReduce(AbstractEnv &A, AbstractEnv &B) {
       continue;
     std::vector<std::pair<DomainState::Ptr, DomainState::Ptr>> NewStates(
         Slots.size());
-    runSlotStage(Slots.size(), [&](size_t I) {
+    for (size_t I = 0; I < Slots.size(); ++I) {
       const auto &[Pack, SA, SB] = Slots[I];
       NewStates[I] = {SA->preJoinWith(*SB, CtxA), SB->preJoinWith(*SA, CtxB)};
-    });
+    }
     for (size_t I = 0; I < Slots.size(); ++I) {
       PackId Pack = std::get<0>(Slots[I]);
       if (NewStates[I].first)

@@ -67,9 +67,7 @@ public:
   // -- Mode & frames (managed by the Iterator) ---------------------------
   bool Checking = false;
   /// Whether alarms may be reported right now: checking mode, and not
-  /// inside a silent evaluation (evalNoCheck or a scheduler slot task).
-  /// The silence marker is thread-local, so parallel slot stages never
-  /// race on a toggled member and never emit alarms in scheduler order.
+  /// inside a silent evaluation (evalNoCheck) on the calling thread.
   bool checkingNow() const;
   /// Per-domain, per-pack flag: set when the pack's state actually
   /// tightened a cell interval or pruned a branch — the Sect. 7.2.2
@@ -213,16 +211,6 @@ private:
   SweepResult runPackSweep(AbstractEnv &Env, size_t D,
                            const std::vector<memory::PackId> &Touched,
                            const SweepOp &Op, bool StopOnBottom);
-
-  /// Runs \p Task(0..N-1) — one registered-domain pack slot each — through
-  /// the ambient Scheduler when one is installed, inline otherwise. Tasks
-  /// run silenced (no alarms) in both modes, must read the environment
-  /// only, and write only their own slot's output; callers then apply the
-  /// per-slot results in slot order, which is what keeps `--jobs=N`
-  /// byte-identical to sequential. Only order-independent sweeps
-  /// (relationalForget, preJoinReduce) use it — the channel-feeding
-  /// reduction chains of runPackSweep stay sequential.
-  void runSlotStage(size_t N, const std::function<void(size_t)> &Task);
 
   const ir::Program &P;
   const memory::CellLayout &Layout;

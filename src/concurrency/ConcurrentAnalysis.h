@@ -23,8 +23,7 @@
 ///
 /// Per-thread analyses of one round are independent, so they fan out over
 /// the ambient Scheduler (the analyzer's thread grain); every merge is in
-/// thread-declaration order, keeping reports byte-identical across --jobs
-/// and both partition-dispatch modes.
+/// thread-declaration order, keeping reports byte-identical across --jobs.
 ///
 /// On top of the fixpoint, two derived alarm classes:
 ///   - data races: a shared cell written by one thread and accessed

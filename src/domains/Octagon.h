@@ -69,8 +69,7 @@ enum class OctClosureMode : uint8_t {
 /// Per-session closure work meter, shared by every octagon of one analysis
 /// (the DomainRegistry hands one sink to all the states it creates, so
 /// batch runs no longer read each other's counts through a process-wide
-/// atomic). Thread-safe: parallel lattice stages close pack copies
-/// concurrently.
+/// atomic). Thread-safe: partition workers close pack copies concurrently.
 struct OctagonClosureStats {
   std::atomic<uint64_t> Full{0};        ///< Full Floyd-Warshall sweeps.
   std::atomic<uint64_t> Incremental{0}; ///< Dirty-row/column propagations.

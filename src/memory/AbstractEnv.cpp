@@ -7,7 +7,6 @@
 
 #include "memory/AbstractEnv.h"
 
-#include "analyzer/Scheduler.h"
 #include "domains/Thresholds.h"
 
 using namespace astral;
@@ -20,75 +19,19 @@ const AbstractEnv::RelMap &AbstractEnv::relMapOrEmpty(const AbstractEnv &E,
 }
 
 //===----------------------------------------------------------------------===//
-// Relational combine engine (sequential or scheduler-fanned)
+// Relational combine engine
 //===----------------------------------------------------------------------===//
-
-namespace {
-/// One differing (domain, pack) slot of a binary lattice operation.
-struct RelSlot {
-  size_t D;
-  PackId P;
-  const DomainState::Ptr *X;
-  const DomainState::Ptr *Y;
-  DomainState::Ptr Result;
-};
-
-/// Minimum differing-slot count before a lattice call fans out: one slot
-/// op costs microseconds, a pool dispatch tens of them, so tiny spans run
-/// inline. Purely a performance gate — results are identical either way.
-constexpr size_t MinParallelSlots = 8;
-
-/// O(#domains) upper bound on how many slots could differ between A and B
-/// — lets small environments skip the gathering walk entirely.
-size_t maxPossibleSlots(const std::vector<AbstractEnv::RelMap> &A,
-                        const std::vector<AbstractEnv::RelMap> &B) {
-  size_t N = 0;
-  for (size_t D = 0; D < std::max(A.size(), B.size()); ++D)
-    N += std::max(D < A.size() ? A[D].size() : 0,
-                  D < B.size() ? B[D].size() : 0);
-  return N;
-}
-} // namespace
 
 std::vector<AbstractEnv::RelMap> AbstractEnv::combineRel(
     const AbstractEnv &A, const AbstractEnv &B,
-    const std::function<DomainState::Ptr(size_t, const DomainState::Ptr &,
+    const std::function<DomainState::Ptr(const DomainState::Ptr &,
                                          const DomainState::Ptr &)> &Op) {
   size_t NumD = std::max(A.Rel.size(), B.Rel.size());
   std::vector<RelMap> Out(NumD);
-
-  // Stage 1 (optional): pre-compute the per-slot results in parallel. The
-  // slot set is exactly what the combine below recomputes — both present,
-  // physically different — so stage 2 just looks results up. Lattice ops
-  // are pure per slot, so any execution order yields the same states.
-  std::vector<std::map<PackId, DomainState::Ptr>> Pre(NumD);
-  Scheduler *S = Scheduler::ambient();
-  if (S && S->concurrency() > 1 &&
-      maxPossibleSlots(A.Rel, B.Rel) >= MinParallelSlots) {
-    std::vector<RelSlot> Slots;
-    for (size_t D = 0; D < NumD; ++D)
-      RelMap::forEachDiff(
-          relMapOrEmpty(A, D), relMapOrEmpty(B, D),
-          [&](PackId P, const DomainState::Ptr *X, const DomainState::Ptr *Y) {
-            if (X && Y && *X != *Y)
-              Slots.push_back(RelSlot{D, P, X, Y, nullptr});
-          });
-    if (Slots.size() >= MinParallelSlots) {
-      S->parallelFor(Slots.size(), [&](size_t I) {
-        RelSlot &T = Slots[I];
-        T.Result = Op(T.D, *T.X, *T.Y);
-      });
-      for (RelSlot &T : Slots)
-        Pre[T.D][T.P] = std::move(T.Result);
-    }
-  }
-
-  // Stage 2: deterministic assembly in slot order.
-  for (size_t D = 0; D < NumD; ++D) {
-    const std::map<PackId, DomainState::Ptr> &PreD = Pre[D];
+  for (size_t D = 0; D < NumD; ++D)
     Out[D] = RelMap::combine(
         relMapOrEmpty(A, D), relMapOrEmpty(B, D),
-        [&](PackId P, const DomainState::Ptr *X, const DomainState::Ptr *Y)
+        [&](PackId, const DomainState::Ptr *X, const DomainState::Ptr *Y)
             -> std::optional<DomainState::Ptr> {
           if (!X)
             return *Y;
@@ -96,11 +39,9 @@ std::vector<AbstractEnv::RelMap> AbstractEnv::combineRel(
             return *X;
           if (*X == *Y)
             return *X;
-          auto It = PreD.find(P);
-          DomainState::Ptr N = It != PreD.end() ? It->second : Op(D, *X, *Y);
+          DomainState::Ptr N = Op(*X, *Y);
           return N ? N : *X;
         });
-  }
   return Out;
 }
 
@@ -126,8 +67,9 @@ AbstractEnv AbstractEnv::join(const AbstractEnv &A, const AbstractEnv &B) {
         return ScalarAbs{X->Itv.join(Y->Itv), X->Clk.join(Y->Clk)};
       });
   R.Rel = combineRel(A, B,
-                     [](size_t, const DomainState::Ptr &X,
-                        const DomainState::Ptr &Y) { return X->join(*Y); });
+                     [](const DomainState::Ptr &X, const DomainState::Ptr &Y) {
+                       return X->join(*Y);
+                     });
   return R;
 }
 
@@ -159,8 +101,7 @@ AbstractEnv AbstractEnv::widen(const AbstractEnv &A, const AbstractEnv &B,
         return ScalarAbs{WI, X->Clk.widen(Y->Clk, T, WithThresholds)};
       });
   R.Rel = combineRel(A, B,
-                     [&](size_t, const DomainState::Ptr &X,
-                         const DomainState::Ptr &Y) {
+                     [&](const DomainState::Ptr &X, const DomainState::Ptr &Y) {
                        return X->widen(*Y, T, WithThresholds);
                      });
   return R;
@@ -184,8 +125,9 @@ AbstractEnv AbstractEnv::narrow(const AbstractEnv &A, const AbstractEnv &B) {
         return ScalarAbs{X->Itv.narrow(Y->Itv), X->Clk.narrow(Y->Clk)};
       });
   R.Rel = combineRel(A, B,
-                     [](size_t, const DomainState::Ptr &X,
-                        const DomainState::Ptr &Y) { return X->narrow(*Y); });
+                     [](const DomainState::Ptr &X, const DomainState::Ptr &Y) {
+                       return X->narrow(*Y);
+                     });
   return R;
 }
 
@@ -212,36 +154,6 @@ bool AbstractEnv::leq(const AbstractEnv &A, const AbstractEnv &B) {
     return false;
 
   size_t NumD = std::max(A.Rel.size(), B.Rel.size());
-  Scheduler *S = Scheduler::ambient();
-  if (S && S->concurrency() > 1 &&
-      maxPossibleSlots(A.Rel, B.Rel) >= MinParallelSlots) {
-    // Per-slot inclusion checks are independent; compute them all and
-    // conjoin. Identical verdict to the short-circuit path below.
-    std::vector<RelSlot> Slots;
-    for (size_t D = 0; D < NumD; ++D)
-      RelMap::forEachDiff(
-          relMapOrEmpty(A, D), relMapOrEmpty(B, D),
-          [&](PackId P, const DomainState::Ptr *X, const DomainState::Ptr *Y) {
-            // A state missing on either side is unconstrained on that side.
-            if (X && Y)
-              Slots.push_back(RelSlot{D, P, X, Y, nullptr});
-          });
-    if (Slots.size() >= MinParallelSlots) {
-      std::vector<uint8_t> SlotOk(Slots.size(), 1);
-      S->parallelFor(Slots.size(), [&](size_t I) {
-        SlotOk[I] = (*Slots[I].X)->leq(**Slots[I].Y) ? 1 : 0;
-      });
-      for (uint8_t V : SlotOk)
-        if (!V)
-          return false;
-      return true;
-    }
-    for (const RelSlot &T : Slots)
-      if (!(*T.X)->leq(**T.Y))
-        return false;
-    return true;
-  }
-
   for (size_t D = 0; D < NumD && Ok; ++D)
     RelMap::forEachDiff(
         relMapOrEmpty(A, D), relMapOrEmpty(B, D),

@@ -151,12 +151,11 @@ private:
 
   /// Shared engine of join/widen/narrow on the relational component: for
   /// every (domain, pack) slot where both sides are present and physically
-  /// different, computes Op(X, Y) — fanned out over the ambient Scheduler
-  /// when one is installed — and assembles the per-domain result maps in
-  /// deterministic slot order (the `--jobs=N` byte-identity invariant).
+  /// different, computes Op(X, Y) in slot order; physically shared slots
+  /// are kept as they are (Sect. 6.1.2).
   static std::vector<RelMap> combineRel(
       const AbstractEnv &A, const AbstractEnv &B,
-      const std::function<DomainState::Ptr(size_t, const DomainState::Ptr &,
+      const std::function<DomainState::Ptr(const DomainState::Ptr &,
                                            const DomainState::Ptr &)> &Op);
 
   bool IsBottom = false;

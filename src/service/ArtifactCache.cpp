@@ -53,7 +53,7 @@ void ArtifactCache::storeFrontend(
 }
 
 void ArtifactCache::storePacking(const std::string &Key, PackingArtifact P) {
-  if (!P.Layout || !P.Packs)
+  if (!P.Frontend || !P.Layout || !P.Packs)
     return;
   faultinject::fire("cache-insert");
   std::lock_guard<std::mutex> L(Mu);

@@ -48,10 +48,13 @@ public:
     uint64_t Evictions = 0;
   };
 
-  /// The layout + pack tables of one packingCacheKey. Stored together: the
-  /// pack tables index into the layout's cells, so they only make sense as
-  /// a pair.
+  /// The layout + pack tables of one packingCacheKey, with the frontend
+  /// they were built over. Stored together: the pack tables index into the
+  /// layout's cells, and the layout's cells point at that frontend's types,
+  /// so they only make sense as a triple — the frontend cached under the
+  /// same content's frontendCacheKey may be another, equal build.
   struct PackingArtifact {
+    std::shared_ptr<const AnalysisSession::FrontendPhase> Frontend;
     std::shared_ptr<const AnalysisSession::LayoutPhase> Layout;
     std::shared_ptr<const Packing> Packs;
   };

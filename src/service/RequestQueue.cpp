@@ -205,34 +205,40 @@ void RequestQueue::runJobs(std::vector<std::unique_ptr<Job>> Jobs) {
 
     std::shared_ptr<const AnalysisSession::FrontendPhase> FE =
         Cache.lookupFrontend(FrontKey);
-    if (FE) {
-      S.adoptFrontend(FE);
+    if (FE)
       C.FrontendHits.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    else
       C.FrontendMisses.fetch_add(1, std::memory_order_relaxed);
-    }
 
     // Packing artifacts only exist for analyzable inputs; a failed frontend
     // never reaches the packing phase, so it neither counts nor stores.
-    bool AdoptedPacking = false;
+    std::optional<ArtifactCache::PackingArtifact> PA;
     if (FE && FE->Ok) {
-      if (std::optional<ArtifactCache::PackingArtifact> PA =
-              Cache.lookupPacking(PackKey)) {
-        S.adoptPacking(PA->Layout, PA->Packs);
-        AdoptedPacking = true;
+      PA = Cache.lookupPacking(PackKey);
+      if (PA)
         C.PackingHits.fetch_add(1, std::memory_order_relaxed);
-      } else {
+      else
         C.PackingMisses.fetch_add(1, std::memory_order_relaxed);
-      }
+    }
+    // A packing hit brings its own frontend: the layout points at that
+    // frontend's types, and FE may be an equal build of the same content
+    // that replaced it in the cache.
+    if (PA) {
+      S.adoptFrontend(PA->Frontend);
+      S.adoptPacking(PA->Layout, PA->Packs);
+    } else if (FE) {
+      S.adoptFrontend(FE);
     }
 
     J.Result.Results[FI] = S.report();
 
     if (!FE)
       Cache.storeFrontend(FrontKey, S.shareFrontend());
-    if (!AdoptedPacking && S.runFrontend().Ok)
-      Cache.storePacking(PackKey, ArtifactCache::PackingArtifact{
-                                      S.shareLayout(), S.sharePacking()});
+    if (!PA && S.runFrontend().Ok)
+      Cache.storePacking(PackKey,
+                         ArtifactCache::PackingArtifact{S.shareFrontend(),
+                                                        S.shareLayout(),
+                                                        S.sharePacking()});
   };
 
   // Request isolation: every item runs under its own try/catch, so one

@@ -13,8 +13,8 @@
 /// per-run, not global, so benches and batch analyses can run many analyses
 /// and compare counters side by side without cross-contamination.
 ///
-/// Accumulation is thread-safe: scheduler tasks (parallel lattice slots,
-/// per-pack reduction stages) bump counters concurrently. Because every
+/// Accumulation is thread-safe: scheduler tasks (partition workers, thread
+/// runs of the interference rounds) bump counters concurrently. Because every
 /// mutation is a commutative add (or an idempotent set outside the parallel
 /// phases), totals are independent of task interleaving — a requirement of
 /// the `--jobs=N` determinism guarantee.

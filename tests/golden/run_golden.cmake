@@ -2,12 +2,13 @@
 # examples/ inputs and diff the normalized JSON reports (alarm counts,
 # invariant census, inferred ranges) against checked-in expectations.
 #
-# Each case then re-runs across the execution-policy matrix — --jobs=2/8
-# crossed with --partition-dispatch=seq/par — and the raw JSON must be
+# Each case then re-runs at --jobs=2 and --jobs=8, and the raw JSON must be
 # byte-identical (after the same normalization) to the --jobs=1 report: the
 # scheduler determinism guarantee of the parallel analyzer, covering the
-# slot-level lattice stages and the trace-partition dispatch
-# (scripts/determinism_matrix.sh is the standalone CI twin of this matrix).
+# trace-partition dispatch and the interference rounds. The --jobs=8 run
+# also dumps its statistics, and on partitioned_switch and thread_handoff
+# the counter of the parallel path must be non-zero: byte-identity alone
+# would also hold if those paths silently degenerated to sequential ones.
 #
 # Invoked by CTest as:
 #   cmake -DASTRAL_CLI=<path> -DSOURCE_DIR=<repo> [-DOUT_DIR=<dir>] \
@@ -31,6 +32,10 @@ set(CASES quickstart filter_verification alarm_investigation flight_control
           interp_table rate_limiter_clocked partitioned_switch
           thread_handoff thread_mode_table)
 set(NFAILED 0)
+
+# The --dump-stats counter that proves a case's parallel path ran.
+set(LIVENESS_partitioned_switch parallel.partitions.dispatched)
+set(LIVENESS_thread_handoff concurrency.rounds)
 
 # Normalizes environment-dependent report fields (wall-clock, input path).
 function(normalize_report in out)
@@ -57,35 +62,49 @@ foreach(case ${CASES})
 
   normalize_report("${actual}" actual)
 
-  # Determinism under concurrency: the parallel reports — at every jobs
-  # value, in both partition-dispatch modes — must match the sequential one
-  # byte for byte.
+  # Determinism under concurrency: the parallel reports must match the
+  # sequential one byte for byte.
   foreach(jobs 2 8)
-    foreach(pdispatch seq par)
-      execute_process(COMMAND ${ASTRAL_CLI} ${input} --json --jobs=${jobs}
-                              --partition-dispatch=${pdispatch}
-                      OUTPUT_VARIABLE par_actual
-                      ERROR_VARIABLE par_stderr
-                      RESULT_VARIABLE par_rc)
-      if(NOT par_rc EQUAL 0)
+    set(stats_flag)
+    if(jobs EQUAL 8)
+      set(stats_flag --dump-stats)
+    endif()
+    execute_process(COMMAND ${ASTRAL_CLI} ${input} --json --jobs=${jobs}
+                            ${stats_flag}
+                    OUTPUT_VARIABLE par_actual
+                    ERROR_VARIABLE par_stderr
+                    RESULT_VARIABLE par_rc)
+    if(NOT par_rc EQUAL 0)
+      message(SEND_ERROR
+          "[${case}] astral-cli --jobs=${jobs} exited with "
+          "${par_rc}:\n${par_stderr}")
+      math(EXPR NFAILED "${NFAILED}+1")
+      continue()
+    endif()
+    normalize_report("${par_actual}" par_actual)
+    if(NOT par_actual STREQUAL actual)
+      set(tag ${case}.jobs${jobs})
+      file(WRITE ${OUT_DIR}/${tag}.actual.json "${par_actual}")
+      message(SEND_ERROR
+          "[${case}] --jobs=${jobs} report differs from --jobs=1 "
+          "(determinism violation)\n"
+          "actual saved to ${OUT_DIR}/${tag}.actual.json")
+      math(EXPR NFAILED "${NFAILED}+1")
+    endif()
+    if(stats_flag AND DEFINED LIVENESS_${case})
+      set(stat ${LIVENESS_${case}})
+      string(REPLACE "." "\\." stat_re "${stat}")
+      string(REGEX MATCH "(^|\n)${stat_re} = ([0-9]+)" stat_line
+             "${par_stderr}")
+      if(NOT stat_line OR CMAKE_MATCH_2 EQUAL 0)
         message(SEND_ERROR
-            "[${case}] astral-cli --jobs=${jobs} "
-            "--partition-dispatch=${pdispatch} exited with "
-            "${par_rc}:\n${par_stderr}")
+            "[${case}] --jobs=${jobs} never ran its parallel path "
+            "(${stat} missing or 0 in --dump-stats)")
         math(EXPR NFAILED "${NFAILED}+1")
-        continue()
+      else()
+        message(STATUS "[${case}] --jobs=${jobs} ${stat} = ${CMAKE_MATCH_2}")
       endif()
-      normalize_report("${par_actual}" par_actual)
-      if(NOT par_actual STREQUAL actual)
-        set(tag ${case}.jobs${jobs}.${pdispatch})
-        file(WRITE ${OUT_DIR}/${tag}.actual.json "${par_actual}")
-        message(SEND_ERROR
-            "[${case}] --jobs=${jobs} --partition-dispatch=${pdispatch} "
-            "report differs from --jobs=1 (determinism violation)\n"
-            "actual saved to ${OUT_DIR}/${tag}.actual.json")
-        math(EXPR NFAILED "${NFAILED}+1")
-      endif()
-    endforeach()
+    endif()
   endforeach()
 
   if(REGEN)

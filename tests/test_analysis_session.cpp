@@ -210,10 +210,9 @@ TEST(AnalysisSession, FrontendFailureDegradesGracefully) {
 }
 
 TEST(AnalysisSession, JobsAreByteDeterministic) {
-  // Above --jobs=1 the slot-level lattice stages (join, widen, narrow,
-  // leq, forget, the ellipsoid pre-join reduction) fan the (domain, pack)
-  // slots out over the pool; the multi-cluster topologies give them many
-  // independent packs to fan out.
+  // Above --jobs=1 the execution phase runs with the pool installed. These
+  // inputs partition no function, so nothing within the file fans out: the
+  // pool must leave no trace in the report, whatever the pack topology.
   expectJobsDeterministic(limiterInput());
   expectJobsDeterministic(crossClusterGuardInput());
   for (unsigned Seed = 1; Seed <= 5; ++Seed)

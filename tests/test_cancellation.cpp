@@ -275,7 +275,7 @@ TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
   // regression test for the budget poll staying master-only: a partition
   // worker (a collect-mode clone) that polled would sample the
   // deterministic live figure at timing-dependent points, and the ladder
-  // would diverge between the dispatch modes.
+  // would diverge between --jobs values.
   AnalysisInput Base = familyInput(1200, 7);
   AnalysisResult Free = Analyzer::analyze(Base);
   ASSERT_TRUE(Free.FrontendOk) << Free.FrontendErrors;
@@ -284,25 +284,21 @@ TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
 
   std::string Reference;
   for (unsigned Jobs : {1u, 2u, 8u}) {
-    for (auto PD : {PartitionDispatchMode::Sequential,
-                    PartitionDispatchMode::Parallel}) {
-      AnalysisInput In = Base;
-      In.Options.MemoryBudgetBytes = Budget;
-      In.Options.Jobs = Jobs;
-      In.Options.PartitionDispatch = PD;
-      AnalysisResult R = Analyzer::analyze(In);
-      ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
-      EXPECT_TRUE(R.MemoryBudgetConfigured);
-      EXPECT_TRUE(R.degraded())
-          << "half the ungoverned peak must force degradation";
-      std::string Sig = resultSignature(R);
-      if (Reference.empty())
-        Reference = Sig;
-      else
-        EXPECT_EQ(Sig, Reference)
-            << "degraded reports must be byte-identical across the "
-            << "jobs x dispatch matrix (jobs=" << Jobs << ")";
-    }
+    AnalysisInput In = Base;
+    In.Options.MemoryBudgetBytes = Budget;
+    In.Options.Jobs = Jobs;
+    AnalysisResult R = Analyzer::analyze(In);
+    ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+    EXPECT_TRUE(R.MemoryBudgetConfigured);
+    EXPECT_TRUE(R.degraded())
+        << "half the ungoverned peak must force degradation";
+    std::string Sig = resultSignature(R);
+    if (Reference.empty())
+      Reference = Sig;
+    else
+      EXPECT_EQ(Sig, Reference)
+          << "degraded reports must be byte-identical across --jobs (jobs="
+          << Jobs << ")";
   }
 }
 

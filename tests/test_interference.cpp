@@ -7,8 +7,7 @@
 // rounds fan out), the widening cap, the per-thread fixpoint rounds on
 // hand-computable two-thread programs, the data-race and cross-thread-range
 // alarm classes (true positives AND pinned non-alarms), and the determinism
-// contract: threaded reports byte-identical across --jobs=1/2/8 and both
-// pack- and partition-dispatch modes.
+// contract: threaded reports byte-identical across --jobs=1/2/8.
 //
 //===----------------------------------------------------------------------===//
 
@@ -307,7 +306,7 @@ TEST(InterferenceAlarms, BaselineErrorsAreNotBlamedOnInterference) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism across the dispatch matrix
+// Determinism across --jobs
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -328,10 +327,9 @@ std::string fingerprint(const AnalysisResult &R) {
   return F.str();
 }
 
-/// A threaded program exercising the thread grain and the slot-level
-/// lattice stages at once: two thread entries (thread fan-out), a shared
-/// cell read under a guard (interference joins), and a main with relational
-/// packs.
+/// A threaded program exercising the thread grain: two thread entries
+/// (thread fan-out), a shared cell read under a guard (interference joins),
+/// and a main with relational packs.
 const char *MatrixSrc =
     "volatile float in;\n"
     "int mode;\n"
@@ -356,23 +354,18 @@ const char *MatrixSrc =
 } // namespace
 
 TEST(InterferenceDeterminism, ThreadedReportsAreIdenticalAcrossTheMatrix) {
-  auto Run = [&](unsigned Jobs, PartitionDispatchMode Part) {
+  auto Run = [&](unsigned Jobs) {
     return fingerprint(analyzeSource(MatrixSrc, [&](AnalyzerOptions &O) {
       O.Threads.emplace_back("controller_t", "controller");
       O.Threads.emplace_back("monitor_t", "monitor");
       O.VolatileRanges["in"] = Interval(-100, 100);
       O.Jobs = Jobs;
-      O.PartitionDispatch = Part;
     }));
   };
-  std::string Base = Run(1, PartitionDispatchMode::Sequential);
+  std::string Base = Run(1);
   EXPECT_NE(Base.find("rounds:"), std::string::npos);
-  for (unsigned Jobs : {1u, 2u, 8u})
-    for (PartitionDispatchMode Part : {PartitionDispatchMode::Sequential,
-                                       PartitionDispatchMode::Parallel})
-      EXPECT_EQ(Run(Jobs, Part), Base)
-          << "jobs=" << Jobs << " part="
-          << (Part == PartitionDispatchMode::Parallel ? "par" : "seq");
+  for (unsigned Jobs : {2u, 8u})
+    EXPECT_EQ(Run(Jobs), Base) << "jobs=" << Jobs;
 }
 
 TEST(InterferenceDeterminism, ThreadDeclarationOrderOwnsTheReport) {

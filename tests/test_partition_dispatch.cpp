@@ -5,12 +5,13 @@
 // grain — partition-level dispatch inside `@astral partition` functions —
 // and the precision bugs of the partition merge paths it builds on:
 //
-//   - --partition-dispatch=par must produce reports bitwise identical to
-//     the sequential per-partition loop, at every --jobs value, on
-//     randomized nested partitioned functions and on randomized call trees
-//     whose call sites see the partition disjunction (value and reference
-//     parameters, callees inlined once per environment, prototype havoc
-//     past MaxCallDepth).
+//   - --jobs=2/8 must produce reports bitwise identical to the sequential
+//     per-partition loop of --jobs=1, on randomized nested partitioned
+//     functions and on randomized call trees whose call sites see the
+//     partition disjunction (value and reference parameters, callees
+//     inlined once per environment, prototype havoc past MaxCallDepth).
+//   - Only If statements hand partitions to the pool; assignments update
+//     each partition in place.
 //   - The MaxPartitions cap joins only the *overflow* (one partition past
 //     the cap costs one join, not the whole disjunction).
 //   - partitioning.delayed_merges is width-accurate and its accumulation
@@ -57,26 +58,20 @@ std::string fingerprint(const AnalysisResult &R) {
 }
 
 /// The execution-policy matrix of one source: sequential at --jobs=1 is
-/// the baseline every (jobs, partition-dispatch) configuration must
-/// reproduce bitwise.
+/// the baseline every --jobs value must reproduce bitwise.
 void expectMatrixIdentical(
     const std::string &Src,
     const std::function<void(AnalyzerOptions &)> &Tweak = nullptr) {
-  auto Run = [&](unsigned Jobs, PartitionDispatchMode PMode) {
+  auto Run = [&](unsigned Jobs) {
     return fingerprint(analyzeSource(Src, [&](AnalyzerOptions &O) {
       if (Tweak)
         Tweak(O);
       O.Jobs = Jobs;
-      O.PartitionDispatch = PMode;
     }));
   };
-  std::string Base = Run(1, PartitionDispatchMode::Sequential);
-  for (unsigned Jobs : {1u, 2u, 8u})
-    for (PartitionDispatchMode PMode : {PartitionDispatchMode::Sequential,
-                                        PartitionDispatchMode::Parallel})
-      EXPECT_EQ(Run(Jobs, PMode), Base)
-          << "jobs=" << Jobs << " partition-dispatch="
-          << (PMode == PartitionDispatchMode::Parallel ? "par" : "seq");
+  std::string Base = Run(1);
+  for (unsigned Jobs : {2u, 8u})
+    EXPECT_EQ(Run(Jobs), Base) << "jobs=" << Jobs;
 }
 
 /// The partitioned_switch shape plus everything the worker contexts must
@@ -131,7 +126,7 @@ void partitionedControlTweak(AnalyzerOptions &O) {
 /// The partitioned_switch shape with the clamp extracted into a helper
 /// taking value AND reference parameters, called from the width-2 mode
 /// disjunction: the helper is inlined once per partition, and its own
-/// branches fan out over partition workers under par dispatch. The alarm
+/// branches fan out over partition workers at --jobs above 1. The alarm
 /// inside the callee and the loop invariant in the caller exercise the
 /// worker effect replay.
 const char *PartitionedHelperSrc =
@@ -190,18 +185,56 @@ TEST(PartitionDispatch, DispatchActuallyFansOut) {
   ASSERT_TRUE(R.FrontendOk);
   EXPECT_GT(R.Stats.get("parallel.partitions.dispatched"), 0u);
   EXPECT_GE(R.Stats.get("parallel.partitions.max_width"), 2u);
-  EXPECT_EQ(R.Stats.get("parallel.partition_dispatch_par"), 1u);
 
-  // The sequential mode never takes the parallel path.
-  AnalysisResult S = analyzeSource(
-      PartitionedControlSrc, [](AnalyzerOptions &O) {
-        partitionedControlTweak(O);
-        O.Jobs = 2;
-        O.PartitionDispatch = PartitionDispatchMode::Sequential;
-      });
+  // --jobs=1 builds no pool, so nothing is dispatched.
+  AnalysisResult S = analyzeSource(PartitionedControlSrc,
+                                   [](AnalyzerOptions &O) {
+                                     partitionedControlTweak(O);
+                                     O.Jobs = 1;
+                                   });
   EXPECT_EQ(S.Stats.get("parallel.partitions.dispatched"), 0u);
   EXPECT_EQ(S.Stats.get("parallel.partitions.max_width"), 0u);
-  EXPECT_EQ(S.Stats.get("parallel.partition_dispatch_par"), 0u);
+}
+
+TEST(PartitionDispatch, OnlyIfStatementsFanOut) {
+  // A partitioned function that splits on `mode`, then runs `Tail` at
+  // partition width 2. Assignments update each partition in place; only
+  // an If hands the partitions to the pool.
+  auto Run = [](const std::string &Tail) {
+    std::string Src = "volatile int mode; volatile float meas;\n"
+                      "float out; float g;\n"
+                      "void step(void) {\n"
+                      "  float m;\n"
+                      "  m = meas;\n"
+                      "  if (mode == 0) { g = 2.0f; } else { g = 8.0f; }\n" +
+                      Tail +
+                      "}\n"
+                      "int main(void) {\n"
+                      "  while (1) {\n"
+                      "    step();\n"
+                      "    __astral_wait();\n"
+                      "  }\n"
+                      "  return 0;\n"
+                      "}\n";
+    return analyzeSource(Src, [](AnalyzerOptions &O) {
+      O.PartitionFunctions.insert("step");
+      O.VolatileRanges["mode"] = Interval(0, 1);
+      O.VolatileRanges["meas"] = Interval(-50, 50);
+      O.Jobs = 2;
+    });
+  };
+
+  AnalysisResult Assigns = Run("  m = m * g;\n"
+                               "  out = m + 1.0f;\n");
+  ASSERT_TRUE(Assigns.FrontendOk);
+  EXPECT_GT(Assigns.Stats.get("partitioning.delayed_merges"), 0u);
+  EXPECT_EQ(Assigns.Stats.get("parallel.partitions.dispatched"), 0u);
+
+  AnalysisResult Branch = Run("  m = m * g;\n"
+                              "  if (m > 10.0f) { out = 10.0f; }\n");
+  ASSERT_TRUE(Branch.FrontendOk);
+  EXPECT_GT(Branch.Stats.get("parallel.partitions.dispatched"), 0u);
+  EXPECT_EQ(Branch.Stats.get("parallel.partitions.max_width"), 2u);
 }
 
 TEST(PartitionDispatch, PartitionedHelperMatchesSequentialBitwise) {
@@ -472,31 +505,30 @@ std::string invariantsFingerprint(
   return F.str();
 }
 
-AnalysisInput invariantInput(unsigned Jobs, PartitionDispatchMode Mode) {
+AnalysisInput invariantInput(unsigned Jobs) {
   // A loop *inside* the partitioned function: its invariant is recorded
-  // once per partition context, by a worker under par dispatch — the
-  // replay path (PendingInvariants) must reproduce the sequential
-  // reduce-then-join fold exactly.
+  // once per partition context, by a worker at --jobs above 1 — the replay
+  // path (PendingInvariants) must reproduce the sequential reduce-then-join
+  // fold exactly.
   AnalysisInput In;
   In.Source = PartitionedControlSrc;
   In.FileName = "inv.c";
   In.Options.ClockMax = 1.0e6;
   partitionedControlTweak(In.Options);
   In.Options.Jobs = Jobs;
-  In.Options.PartitionDispatch = Mode;
   return In;
 }
 
 } // namespace
 
 TEST(PartitionInvariants, WorkerRecordedInvariantsMatchSequential) {
-  AnalysisSession Seq(invariantInput(1, PartitionDispatchMode::Sequential));
+  AnalysisSession Seq(invariantInput(1));
   const auto &SeqExec = Seq.runAbstractExecution();
   std::string Base = invariantsFingerprint(SeqExec.LoopInvariants);
   EXPECT_FALSE(SeqExec.LoopInvariants.empty());
 
   for (unsigned Jobs : {2u, 8u}) {
-    AnalysisSession Par(invariantInput(Jobs, PartitionDispatchMode::Parallel));
+    AnalysisSession Par(invariantInput(Jobs));
     const auto &ParExec = Par.runAbstractExecution();
     EXPECT_EQ(invariantsFingerprint(ParExec.LoopInvariants), Base)
         << "jobs=" << Jobs;

@@ -143,7 +143,7 @@ TEST(SchedulerScope, WorkersHaveNoAmbientScheduler) {
   std::atomic<int> Violations{0};
   Pool.parallelFor(64, [&](size_t) {
     // The submitting thread sees its ambient scheduler; pool workers see
-    // none (nested lattice stages run sequentially inline there).
+    // none (nested dispatches run sequentially inline there).
     Scheduler *S = Scheduler::ambient();
     if (S != nullptr && S != &Pool)
       Violations.fetch_add(1);

@@ -314,6 +314,41 @@ TEST(RequestQueue, EqualPrioritiesServeInArrivalOrder) {
     EXPECT_EQ(F[I].get().ServeOrder, I);
 }
 
+TEST(RequestQueue, PackingHitBringsTheFrontendItsLayoutPointsInto) {
+  AnalysisInput In;
+  In.FileName = "limiter.c";
+  In.Source = LimiterSrc;
+  const std::string FrontKey = AnalysisSession::frontendCacheKey(In);
+  const std::string PackKey = AnalysisSession::packingCacheKey(In);
+
+  // Session A fills both entries, then an independent build B of the same
+  // content replaces the frontend entry, as two same-content items of one
+  // drain do. Neither session outlives this block, so only the cache keeps
+  // A's frontend, whose types A's layout points at, alive.
+  ArtifactCache Cache(8);
+  {
+    AnalysisSession A(In);
+    Cache.storeFrontend(FrontKey, A.shareFrontend());
+    Cache.storePacking(PackKey, ArtifactCache::PackingArtifact{
+                                    A.shareFrontend(), A.shareLayout(),
+                                    A.sharePacking()});
+    AnalysisSession B(In);
+    Cache.storeFrontend(FrontKey, B.shareFrontend());
+  }
+
+  RequestQueue Q(Scheduler::create(2), Cache);
+  RequestQueue::Outcome Out = Q.submit({In}).get();
+  ASSERT_TRUE(Out.ok()) << Out.ErrorMessage;
+  EXPECT_EQ(Out.FrontendHits, 1u);
+  EXPECT_EQ(Out.PackingHits, 1u);
+
+  AnalysisSession Cold(In);
+  cli::CliOptions Cli;
+  EXPECT_EQ(
+      normalizeReport(cli::renderJsonReport(Cli, In.FileName, Out.Results[0])),
+      normalizeReport(cli::renderJsonReport(Cli, In.FileName, Cold.report())));
+}
+
 //===----------------------------------------------------------------------===//
 // Daemon end-to-end (in-process, real socket)
 //===----------------------------------------------------------------------===//

@@ -76,9 +76,10 @@ TEST(SpecDirectives, MalformedDirectivesWarnAndDoNotApply) {
       "/* @astral call-memo off */\n"
       "/* @astral call-dispatch seq */\n"
       "/* @astral pack-dispatch seq */\n"
-      "/* @astral octagon-closure full */\n",
+      "/* @astral octagon-closure full */\n"
+      "/* @astral partition-dispatch seq */\n",
       Opts);
-  EXPECT_EQ(W.size(), 10u);
+  EXPECT_EQ(W.size(), 11u);
   // Nothing was applied.
   EXPECT_EQ(Opts.ClockMax, Defaults.ClockMax);
   EXPECT_TRUE(Opts.VolatileRanges.empty());
@@ -153,8 +154,9 @@ TEST(SpecDirectives, JobsAboveHardwareWarnsOnce) {
 TEST(CliFlags, RemovedFlagsAndAliasesAreUnknown) {
   for (const char *Gone :
        {"--call-memo=off", "--call-dispatch=seq", "--pack-dispatch=seq",
-        "--octagon-closure=full", "--octagons", "--no-octagons",
-        "--no-ellipsoids", "--no-trees", "--no-clock", "--no-packing"}) {
+        "--octagon-closure=full", "--partition-dispatch=seq", "--octagons",
+        "--no-octagons", "--no-ellipsoids", "--no-trees", "--no-clock",
+        "--no-packing"}) {
     cli::CliOptions Cli;
     cli::ParseOutcome P = cli::parseArgs({Gone, "prog.c"}, Cli);
     EXPECT_FALSE(P.Ok) << Gone;
