@@ -34,8 +34,10 @@ scripts/chaos_smoke.sh build
 
 echo
 echo "== smoke: astral-cli end-to-end =="
-build/tools/astral-cli examples/flight_control.cpp --dump-invariants >/dev/null
+build/tools/astral-cli examples/flight_control.cpp --dump-invariants --unroll=2 >/dev/null
 build/tools/astral-cli examples/quickstart.cpp --json --fail-on-alarms >/dev/null
+# A refused value must exit 1 (`! cmd` alone would not fail a -e shell).
+rc=0; build/tools/astral-cli examples/quickstart.cpp --clock-max nan 2>/dev/null || rc=$?; test "$rc" -eq 1
 build/tools/astral-cli examples/rate_limiter_clocked.cpp --json --jobs=8 --fail-on-alarms >/dev/null
 build/tools/astral-cli examples/flight_control.cpp --json --jobs=0 >/dev/null
 build/tools/astral-cli examples/partitioned_switch.cpp --json --jobs=8 --dump-stats >/dev/null 2>&1

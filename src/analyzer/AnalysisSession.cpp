@@ -151,7 +151,6 @@ void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
   // fingerprints into the execution phase, never into the shareable ones.
   W.field("jobs", uint64_t(O.Jobs));
   W.field("max_call_depth", uint64_t(O.MaxCallDepth));
-  W.field("record_loop_invariants", O.RecordLoopInvariants);
   // Resource governance fingerprints into the execution phase only: the
   // budget can change the execution artifact (degradation), and while a
   // deadline cannot change a *successful* artifact, runs that raced a
@@ -670,10 +669,8 @@ AnalysisResult AnalysisSession::report() {
     Inv = &InvIt->second;
   }
   const AbstractEnv &Census = Inv ? *Inv : E.Final;
-  if (In.Options.RecordLoopInvariants) {
-    R.MainLoopCensus = censusInvariant(Census, Cells, Registry);
-    R.MainLoopInvariant = dumpInvariant(Census, Cells, Registry);
-  }
+  R.MainLoopCensus = censusInvariant(Census, Cells, Registry);
+  R.MainLoopInvariant = dumpInvariant(Census, Cells, Registry);
 
   // Sect. 7.2.2: "our analyzer outputs, as part of the result, whether each
   // octagon actually improved the precision of the analysis". The transfer

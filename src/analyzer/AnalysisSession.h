@@ -21,8 +21,8 @@
 /// `setOptions()` invalidates only from the first phase whose option
 /// fingerprint (optionsFingerprint) the new parametrization changes — a
 /// domain-ablation sweep pays the frontend once and re-runs from
-/// buildPacks() per configuration, while a --jobs or dispatch-mode change
-/// re-runs the execution phase alone.
+/// buildPacks() per configuration, while a --jobs change re-runs the
+/// execution phase alone.
 ///
 /// Artifact sharing (the service mode's cache seam): the frontend, the cell
 /// layout and the pack tables are immutable once built and are held by
@@ -154,9 +154,9 @@ public:
   /// option fingerprint the new options change: each phase is stale iff
   /// optionsFingerprint(old, P) != optionsFingerprint(new, P) (fingerprints
   /// are cumulative, so staleness cascades down the pipeline). Identical
-  /// options invalidate nothing; a --jobs or dispatch-mode change re-runs
-  /// only the execution phase; a domain or closure-mode change re-runs from
-  /// buildPacks(); an entry-function change re-runs everything.
+  /// options invalidate nothing; a --jobs change re-runs only the execution
+  /// phase; a domain change re-runs from buildPacks(); an entry-function
+  /// change re-runs everything.
   void setOptions(const AnalyzerOptions &O);
 
   /// Serializes the option subset that phase \p P (and its predecessors)

@@ -88,8 +88,8 @@ struct AnalysisResult {
   /// reports (the goldens) are byte-identical to pre-governance builds.
   bool MemoryBudgetConfigured = false;
   /// The precision-shedding steps the budget ladder applied, in order
-  /// (empty = the run fit its budget). Deterministic across the
-  /// jobs x dispatch matrix — see docs/robustness.md.
+  /// (empty = the run fit its budget). Deterministic for every --jobs
+  /// value — see docs/robustness.md.
   std::vector<std::string> DegradeSteps;
   bool degraded() const { return !DegradeSteps.empty(); }
 
@@ -99,7 +99,7 @@ struct AnalysisResult {
   /// Interval of every named persistent scalar at the main loop head (or at
   /// program end when there is no loop).
   std::vector<std::pair<std::string, Interval>> VariableRanges;
-  /// Full textual invariant (only when Options.RecordLoopInvariants).
+  /// Full textual invariant.
   std::string MainLoopInvariant;
 
   size_t alarmCount() const { return Alarms.size(); }

@@ -12,6 +12,8 @@
 #include "analyzer/SpecDirectives.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
@@ -122,55 +124,111 @@ void preloadIncludes(const std::string &Source, const std::string &Dir,
   }
 }
 
-struct VolatileSpec {
-  std::string Name;
-  double Lo, Hi;
-};
-
-std::optional<VolatileSpec> parseVolatileFlag(const std::string &Spec) {
-  size_t Eq = Spec.find('=');
-  size_t Colon = Spec.find(':', Eq == std::string::npos ? 0 : Eq);
-  if (Eq == std::string::npos || Colon == std::string::npos)
+/// \p V read whole as a T by std::from_chars, which takes no leading space
+/// or '+', no unsigned '-', and no out-of-range value.
+template <typename T> std::optional<T> parseWhole(const std::string &V) {
+  T X{};
+  auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), X);
+  if (Ec != std::errc() || End != V.data() + V.size())
     return std::nullopt;
-  try {
-    size_t LoEnd = 0, HiEnd = 0;
-    std::string LoStr = Spec.substr(Eq + 1, Colon - Eq - 1);
-    std::string HiStr = Spec.substr(Colon + 1);
-    double Lo = std::stod(LoStr, &LoEnd);
-    double Hi = std::stod(HiStr, &HiEnd);
-    // Reject trailing garbage and inverted (bottom) ranges, which would
-    // make the whole analysis vacuous.
-    if (LoEnd != LoStr.size() || HiEnd != HiStr.size() || Lo > Hi)
-      return std::nullopt;
-    return VolatileSpec{Spec.substr(0, Eq), Lo, Hi};
-  } catch (const std::exception &) {
-    return std::nullopt;
-  }
+  return X;
 }
 
-/// Strict numeric flag parsing: the whole value must be consumed.
-std::optional<double> parseDoubleFlag(const std::string &V) {
-  try {
-    size_t End = 0;
-    double X = std::stod(V, &End);
-    if (End != V.size())
-      return std::nullopt;
-    return X;
-  } catch (const std::exception &) {
-    return std::nullopt;
-  }
+/// A decimal integer in [Min, Max]: digits only.
+std::optional<uint64_t> parseUnsigned(const std::string &V, uint64_t Min,
+                                      uint64_t Max) {
+  std::optional<uint64_t> N = parseWhole<uint64_t>(V);
+  return N && *N >= Min && *N <= Max ? N : std::nullopt;
 }
 
-std::optional<unsigned> parseUnsignedFlag(const std::string &V) {
-  try {
-    size_t End = 0;
-    unsigned long X = std::stoul(V, &End);
-    if (End != V.size() || X > 0xffffffffUL)
-      return std::nullopt;
-    return static_cast<unsigned>(X);
-  } catch (const std::exception &) {
+/// A decimal floating-point number or an infinity; NaN is refused.
+std::optional<double> parseNumber(const std::string &V) {
+  std::optional<double> X = parseWhole<double>(V);
+  return X && !std::isnan(*X) ? X : std::nullopt;
+}
+
+/// A name (a function, a variable, a thread): non-empty, with no space and
+/// none of the separators of the flag values — so a directive's stray
+/// extra argument can never read as part of a name.
+bool isName(const std::string &S) {
+  return !S.empty() && S.find_first_of(" \t\r\n\v\f=:,") == std::string::npos;
+}
+
+std::optional<std::string> parseName(const std::string &V) {
+  return isName(V) ? std::optional<std::string>(V) : std::nullopt;
+}
+
+using VolatileRange = std::pair<std::string, Interval>;
+
+/// `<name>=<lo>:<hi>`. An inverted (bottom) range would make the whole
+/// analysis vacuous, so lo <= hi.
+std::optional<VolatileRange> parseVolatile(const std::string &V) {
+  size_t Eq = V.find('=');
+  if (Eq == std::string::npos || !isName(V.substr(0, Eq)))
     return std::nullopt;
+  size_t Colon = V.find(':', Eq);
+  if (Colon == std::string::npos)
+    return std::nullopt;
+  std::optional<double> Lo = parseNumber(V.substr(Eq + 1, Colon - Eq - 1));
+  std::optional<double> Hi = parseNumber(V.substr(Colon + 1));
+  if (!Lo || !Hi || *Lo > *Hi)
+    return std::nullopt;
+  return VolatileRange{V.substr(0, Eq), Interval(*Lo, *Hi)};
+}
+
+using ThreadList = std::vector<std::pair<std::string, std::string>>;
+
+/// `<name>:<entry>[,<name>:<entry>...]`.
+std::optional<ThreadList> parseThreads(const std::string &V) {
+  ThreadList Threads;
+  for (size_t Pos = 0; Pos <= V.size();) {
+    size_t Comma = std::min(V.find(',', Pos), V.size());
+    size_t Colon = V.find(':', Pos);
+    if (Colon >= Comma || !isName(V.substr(Pos, Colon - Pos)) ||
+        !isName(V.substr(Colon + 1, Comma - Colon - 1)))
+      return std::nullopt;
+    Threads.emplace_back(V.substr(Pos, Colon - Pos),
+                         V.substr(Colon + 1, Comma - Colon - 1));
+    Pos = Comma + 1;
   }
+  return Threads;
+}
+
+std::string integerRange(uint64_t Min, uint64_t Max) {
+  return "an integer in [" + std::to_string(Min) + ", " +
+         std::to_string(Max) + "]";
+}
+
+/// An option whose value \p Parse reads and \p Set applies.
+template <typename ParseT, typename SetT>
+Option valueOption(const char *Flag, const char *Directive,
+                   std::string Expect, ParseT Parse, SetT Set,
+                   const char *Join = "") {
+  return {Flag, Directive, Join, std::move(Expect),
+          [Parse, Set](const std::string &V) -> std::optional<OptionOp> {
+            auto X = Parse(V);
+            if (!X)
+              return std::nullopt;
+            return OptionOp([Set, X = *X](AnalyzerOptions &O) { Set(O, X); });
+          }};
+}
+
+template <typename SetT>
+Option unsignedOption(const char *Flag, const char *Directive, uint64_t Min,
+                      uint64_t Max, SetT Set) {
+  return valueOption(
+      Flag, Directive, integerRange(Min, Max),
+      [Min, Max](const std::string &V) { return parseUnsigned(V, Min, Max); },
+      Set);
+}
+
+Option analyzerSwitch(const char *Flag, void (*Set)(AnalyzerOptions &)) {
+  return {Flag, "", "", "",
+          [Set](const std::string &) { return std::optional<OptionOp>(Set); }};
+}
+
+Option outputSwitch(const char *Flag, bool CliOptions::*Field) {
+  return {Flag, "", "", "", nullptr, Field};
 }
 
 } // namespace
@@ -188,6 +246,10 @@ void printUsage(std::FILE *Out) {
       "the --jobs worker pool. C++ example harnesses (examples/*.cpp) are\n"
       "handled by extracting the embedded raw-string input program. `-`\n"
       "reads from stdin.\n"
+      "\n"
+      "Every value flag is written --<flag>=<v> or --<flag> <v>. A value\n"
+      "must parse whole: integers are plain decimal digits within the\n"
+      "flag's range, numbers are decimal (or inf), and nan is refused.\n"
       "\n"
       "execution policy:\n"
       "  --jobs <n>, --jobs=<n>       worker threads for scheduling batch\n"
@@ -239,8 +301,13 @@ void printUsage(std::FILE *Out) {
       "  `@astral clock-max 3.6e6`, `@astral partition f`,\n"
       "  `@astral threshold 500`, `@astral entry main`,\n"
       "  `@astral domains interval,octagon`, `@astral jobs 4`,\n"
-      "  `@astral thread t1 worker` (one thread per directive; flags\n"
-      "  override directives).\n"
+      "  `@astral unroll 2`, `@astral thread t1 worker` (one thread per\n"
+      "  directive). A directive reads its arguments as its flag's value:\n"
+      "  `volatile speed 0 300` as --volatile speed=0:300, `thread t1\n"
+      "  worker` as --threads=t1:worker, the others as the one value. A\n"
+      "  trailing `*/` is ignored; any other extra argument, or a value\n"
+      "  the flag would refuse, makes the directive warn and not apply.\n"
+      "  Flags override directives.\n"
       "\n"
       "resource governance:\n"
       "  --deadline-ms=<n>            wall-clock deadline for the analysis\n"
@@ -256,7 +323,7 @@ void printUsage(std::FILE *Out) {
       "                               against the session's deterministic\n"
       "                               byte meter — never wall clock — so\n"
       "                               budget outcomes are byte-identical\n"
-      "                               across --jobs and dispatch modes.\n"
+      "                               for every --jobs value.\n"
       "  --memory-budget-bytes=<n>    same budget with byte granularity\n"
       "                               (test harnesses; overrides/overridden\n"
       "                               by -mb, last one wins).\n"
@@ -305,306 +372,187 @@ std::optional<std::string> readFile(const std::string &Path) {
   return SS.str();
 }
 
-ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
-  ParseOutcome Res;
+std::optional<int> parseInt(const std::string &V) {
+  return parseWhole<int>(V);
+}
 
-  auto Failf = [&](const char *Fmt, ...) {
-    char Buf[512];
-    va_list Ap;
-    va_start(Ap, Fmt);
-    std::vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
-    va_end(Ap);
-    Res.Ok = false;
-    Res.Error = Buf;
-  };
+Flag unsignedFlag(std::string Name, uint64_t Min, uint64_t Max,
+                  std::function<void(uint64_t)> Set) {
+  return {std::move(Name), integerRange(Min, Max),
+          [Min, Max, Set](const std::string &V) {
+            std::optional<uint64_t> N = parseUnsigned(V, Min, Max);
+            if (N)
+              Set(*N);
+            return N.has_value();
+          }};
+}
 
-  size_t I = 0;
-  auto NextValue = [&](const char *Flag) -> std::optional<std::string> {
-    if (I + 1 >= Args.size()) {
-      Failf("astral-cli: error: %s requires a value", Flag);
-      return std::nullopt;
-    }
-    return Args[++I];
-  };
-
-  for (I = 0; I < Args.size(); ++I) {
+size_t walkFlags(const std::vector<std::string> &Args,
+                 const std::vector<Flag> &Table, const char *Who,
+                 const std::function<bool(const std::string &)> &Other,
+                 std::string &Err, std::vector<std::string> *Consumed) {
+  for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &A = Args[I];
-    bool IsInput = A.empty() || A[0] != '-' || A == "-";
-    size_t Start = I;
-    if (A == "--help" || A == "-h") {
-      Res.ShowHelp = true;
-      return Res;
-    } else if (A == "--domains" || A.rfind("--domains=", 0) == 0) {
-      std::string List;
-      if (A == "--domains") {
-        auto V = NextValue("--domains");
-        if (!V)
-          return Res;
-        List = *V;
-      } else {
-        List = A.substr(std::string("--domains=").size());
+    size_t Eq = A.find('=');
+    std::string Name = A.rfind("--", 0) == 0 ? A.substr(2, Eq - 2) : "";
+    auto F = std::find_if(Table.begin(), Table.end(),
+                          [&](const Flag &E) { return E.Name == Name; });
+    // A switch given a value is no flag of the table either.
+    if (Name.empty() || F == Table.end() ||
+        (F->Expect.empty() && Eq != std::string::npos)) {
+      if (!Other(A))
+        return I;
+      continue;
+    }
+    size_t First = I;
+    std::string Value;
+    if (Eq != std::string::npos) {
+      Value = A.substr(Eq + 1);
+    } else if (!F->Expect.empty()) {
+      if (I + 1 == Args.size()) {
+        Err = std::string(Who) + ": error: " + A + " requires a value";
+        return I;
       }
-      std::string Err;
-      std::optional<DomainSet> DS = DomainSet::parse(List, Err);
-      if (!DS) {
-        Failf("astral-cli: error: --domains: %s", Err.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [DS](AnalyzerOptions &O) { O.Domains = *DS; });
-    } else if (A == "--jobs" || A.rfind("--jobs=", 0) == 0) {
-      std::string Val;
-      if (A == "--jobs") {
-        auto V = NextValue("--jobs");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--jobs=").size());
-      }
-      std::optional<unsigned> N = parseUnsignedFlag(Val);
-      if (!N || *N > Scheduler::MaxThreads) {
-        Failf("astral-cli: error: --jobs expects an integer in [0, %u], "
-              "got '%s'",
-              Scheduler::MaxThreads, Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([N](AnalyzerOptions &O) { O.Jobs = *N; });
-    } else if (A == "--threads" || A.rfind("--threads=", 0) == 0) {
-      std::string Val;
-      if (A == "--threads") {
-        auto V = NextValue("--threads");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--threads=").size());
-      }
-      std::vector<std::pair<std::string, std::string>> Threads;
-      bool Bad = Val.empty();
-      for (size_t Pos = 0; !Bad && Pos <= Val.size();) {
-        size_t Comma = Val.find(',', Pos);
-        std::string Item =
-            Val.substr(Pos, Comma == std::string::npos ? std::string::npos
-                                                       : Comma - Pos);
-        size_t Colon = Item.find(':');
-        if (Colon == std::string::npos || Colon == 0 ||
-            Colon + 1 >= Item.size() ||
-            Item.find(':', Colon + 1) != std::string::npos)
-          Bad = true;
-        else
-          Threads.emplace_back(Item.substr(0, Colon),
-                               Item.substr(Colon + 1));
-        if (Comma == std::string::npos)
-          break;
-        Pos = Comma + 1;
-      }
-      if (Bad) {
-        Failf("astral-cli: error: --threads expects "
-              "name:entry[,name:entry...], got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      // Appends, like the `@astral thread` directive accumulates — a flag
-      // can add threads on top of the input's declarations.
-      Cli.FlagOps.push_back([Threads](AnalyzerOptions &O) {
-        for (const auto &T : Threads)
-          O.Threads.push_back(T);
-      });
-    } else if (A == "--deadline-ms" || A.rfind("--deadline-ms=", 0) == 0) {
-      std::string Val;
-      if (A == "--deadline-ms") {
-        auto V = NextValue("--deadline-ms");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--deadline-ms=").size());
-      }
-      std::optional<unsigned> N = parseUnsignedFlag(Val);
-      if (!N) {
-        Failf("astral-cli: error: --deadline-ms expects a non-negative "
-              "integer of milliseconds, got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([N](AnalyzerOptions &O) { O.DeadlineMs = *N; });
-    } else if (A == "--memory-budget-mb" ||
-               A.rfind("--memory-budget-mb=", 0) == 0) {
-      std::string Val;
-      if (A == "--memory-budget-mb") {
-        auto V = NextValue("--memory-budget-mb");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--memory-budget-mb=").size());
-      }
-      std::optional<unsigned> N = parseUnsignedFlag(Val);
-      if (!N) {
-        Failf("astral-cli: error: --memory-budget-mb expects a non-negative "
-              "integer of MiB, got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([N](AnalyzerOptions &O) {
-        O.MemoryBudgetBytes = uint64_t(*N) << 20;
-      });
-    } else if (A == "--memory-budget-bytes" ||
-               A.rfind("--memory-budget-bytes=", 0) == 0) {
+      Value = Args[++I];
+    }
+    if (!F->Set(Value)) {
+      Err = std::string(Who) + ": error: --" + Name + " expects " +
+            F->Expect + ", got '" + Value + "'";
+      return First;
+    }
+    if (Consumed)
+      Consumed->insert(Consumed->end(), Args.begin() + First,
+                       Args.begin() + I + 1);
+  }
+  return Args.size();
+}
+
+const std::vector<Option> &options() {
+  using BudgetAction = AnalyzerOptions::BudgetAction;
+  constexpr uint64_t U32 = UINT32_MAX;
+  static const std::vector<Option> Table = {
+      // Execution policy may travel with the input: reports stay
+      // byte-identical for every value, so a checked-in `@astral jobs`
+      // cannot make a golden run diverge.
+      unsignedOption("jobs", "jobs", 0, Scheduler::MaxThreads,
+                     [](AnalyzerOptions &O, uint64_t N) { O.Jobs = N; }),
+      valueOption("domains", "domains",
+                  "a comma-separated subset of "
+                  "interval,clocked,octagon,tree,ellipsoid",
+                  DomainSet::parse,
+                  [](AnalyzerOptions &O, DomainSet S) { O.Domains = S; }),
+      analyzerSwitch("no-linearize", [](AnalyzerOptions &O) {
+        O.EnableLinearization = false;
+      }),
+      analyzerSwitch("no-thresholds", [](AnalyzerOptions &O) {
+        O.WideningWithThresholds = false;
+      }),
+      valueOption("threshold", "threshold", "a number", parseNumber,
+                  [](AnalyzerOptions &O, double T) {
+                    O.ExtraThresholds.push_back(T);
+                  }),
+      unsignedOption("unroll", "unroll", 0, U32,
+                     [](AnalyzerOptions &O, uint64_t N) {
+                       O.DefaultUnroll = N;
+                     }),
+      unsignedOption("max-iterations", "", 1, U32,
+                     [](AnalyzerOptions &O, uint64_t N) {
+                       O.MaxIterations = N;
+                     }),
+      valueOption("volatile", "volatile", "<name>=<lo>:<hi> with <lo> <= <hi>",
+                  parseVolatile,
+                  [](AnalyzerOptions &O, const VolatileRange &R) {
+                    O.VolatileRanges[R.first] = R.second;
+                  },
+                  "=:"),
+      valueOption("clock-max", "clock-max", "a positive number",
+                  [](const std::string &V) {
+                    std::optional<double> T = parseNumber(V);
+                    return T && *T > 0 ? T : std::nullopt;
+                  },
+                  [](AnalyzerOptions &O, double T) { O.ClockMax = T; }),
+      valueOption("partition", "partition", "a function name", parseName,
+                  [](AnalyzerOptions &O, const std::string &F) {
+                    O.PartitionFunctions.insert(F);
+                  }),
+      valueOption("entry", "entry", "a function name", parseName,
+                  [](AnalyzerOptions &O, const std::string &F) {
+                    O.EntryFunction = F;
+                  }),
+      // Appends, so a flag adds threads to the input's declarations.
+      valueOption("threads", "thread", "<name>:<entry>[,<name>:<entry>...]",
+                  parseThreads,
+                  [](AnalyzerOptions &O, const ThreadList &T) {
+                    O.Threads.insert(O.Threads.end(), T.begin(), T.end());
+                  },
+                  ":"),
+      unsignedOption("deadline-ms", "", 0, U32,
+                     [](AnalyzerOptions &O, uint64_t N) { O.DeadlineMs = N; }),
+      unsignedOption("memory-budget-mb", "", 0, U32,
+                     [](AnalyzerOptions &O, uint64_t N) {
+                       O.MemoryBudgetBytes = N << 20;
+                     }),
       // Byte-granular sibling of --memory-budget-mb, for test harnesses and
       // chaos scripts that pin budgets below (or between) whole MiB.
-      std::string Val;
-      if (A == "--memory-budget-bytes") {
-        auto V = NextValue("--memory-budget-bytes");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--memory-budget-bytes=").size());
-      }
-      std::optional<unsigned> N = parseUnsignedFlag(Val);
-      if (!N) {
-        Failf("astral-cli: error: --memory-budget-bytes expects a "
-              "non-negative integer of bytes, got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [N](AnalyzerOptions &O) { O.MemoryBudgetBytes = *N; });
-    } else if (A == "--on-budget" || A.rfind("--on-budget=", 0) == 0) {
-      std::string Val;
-      if (A == "--on-budget") {
-        auto V = NextValue("--on-budget");
-        if (!V)
-          return Res;
-        Val = *V;
-      } else {
-        Val = A.substr(std::string("--on-budget=").size());
-      }
-      std::optional<AnalyzerOptions::BudgetAction> Mode;
-      if (Val == "degrade")
-        Mode = AnalyzerOptions::BudgetAction::Degrade;
-      else if (Val == "fail")
-        Mode = AnalyzerOptions::BudgetAction::Fail;
-      if (!Mode) {
-        Failf("astral-cli: error: --on-budget expects 'degrade' or 'fail', "
-              "got '%s'",
-              Val.c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [Mode](AnalyzerOptions &O) { O.OnBudget = *Mode; });
-    } else if (A == "--no-linearize") {
-      Cli.FlagOps.push_back(
-          [](AnalyzerOptions &O) { O.EnableLinearization = false; });
-    } else if (A == "--no-thresholds") {
-      Cli.FlagOps.push_back(
-          [](AnalyzerOptions &O) { O.WideningWithThresholds = false; });
-    } else if (A == "--dump-invariants") {
-      Cli.DumpInvariants = true;
-    } else if (A == "--dump-stats") {
-      Cli.DumpStats = true;
-    } else if (A == "--json") {
-      Cli.Json = true;
-    } else if (A == "--quiet") {
-      Cli.Quiet = true;
-    } else if (A == "--fail-on-alarms") {
-      Cli.FailOnAlarms = true;
-    } else if (A == "--threshold") {
-      auto V = NextValue("--threshold");
-      if (!V)
-        return Res;
-      std::optional<double> T = parseDoubleFlag(*V);
-      if (!T) {
-        Failf("astral-cli: error: --threshold expects a number, got '%s'",
-              V->c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [T](AnalyzerOptions &O) { O.ExtraThresholds.push_back(*T); });
-    } else if (A == "--unroll") {
-      auto V = NextValue("--unroll");
-      if (!V)
-        return Res;
-      std::optional<unsigned> N = parseUnsignedFlag(*V);
-      if (!N) {
-        Failf("astral-cli: error: --unroll expects a non-negative integer, "
-              "got '%s'",
-              V->c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [N](AnalyzerOptions &O) { O.DefaultUnroll = *N; });
-    } else if (A == "--max-iterations") {
-      auto V = NextValue("--max-iterations");
-      if (!V)
-        return Res;
-      std::optional<unsigned> N = parseUnsignedFlag(*V);
-      if (!N || *N == 0) {
-        Failf("astral-cli: error: --max-iterations expects a positive "
-              "integer, got '%s'",
-              V->c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back(
-          [N](AnalyzerOptions &O) { O.MaxIterations = *N; });
-    } else if (A == "--clock-max") {
-      auto V = NextValue("--clock-max");
-      if (!V)
-        return Res;
-      std::optional<double> T = parseDoubleFlag(*V);
-      if (!T || *T <= 0) {
-        Failf("astral-cli: error: --clock-max expects a positive number of "
-              "ticks, got '%s'",
-              V->c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([T](AnalyzerOptions &O) { O.ClockMax = *T; });
-    } else if (A == "--entry") {
-      auto V = NextValue("--entry");
-      if (!V)
-        return Res;
-      std::string Fn = *V;
-      Cli.FlagOps.push_back(
-          [Fn](AnalyzerOptions &O) { O.EntryFunction = Fn; });
-    } else if (A == "--partition") {
-      auto V = NextValue("--partition");
-      if (!V)
-        return Res;
-      std::string Fn = *V;
-      Cli.FlagOps.push_back(
-          [Fn](AnalyzerOptions &O) { O.PartitionFunctions.insert(Fn); });
-    } else if (A == "--volatile") {
-      auto V = NextValue("--volatile");
-      if (!V)
-        return Res;
-      std::optional<VolatileSpec> Spec = parseVolatileFlag(*V);
-      if (!Spec) {
-        Failf("astral-cli: error: --volatile expects name=lo:hi, got '%s'",
-              V->c_str());
-        return Res;
-      }
-      Cli.FlagOps.push_back([Spec](AnalyzerOptions &O) {
-        O.VolatileRanges[Spec->Name] = Interval(Spec->Lo, Spec->Hi);
-      });
-    } else if (!IsInput) {
-      Failf("astral-cli: error: unknown flag '%s'", A.c_str());
-      return Res;
-    } else {
-      Cli.InputPaths.push_back(A);
-    }
-    if (!IsInput)
-      for (size_t K = Start; K <= I && K < Args.size(); ++K)
-        Cli.FlagArgs.push_back(Args[K]);
-  }
+      unsignedOption("memory-budget-bytes", "", 0, U32,
+                     [](AnalyzerOptions &O, uint64_t N) {
+                       O.MemoryBudgetBytes = N;
+                     }),
+      valueOption("on-budget", "", "'degrade' or 'fail'",
+                  [](const std::string &V) -> std::optional<BudgetAction> {
+                    if (V == "degrade")
+                      return BudgetAction::Degrade;
+                    if (V == "fail")
+                      return BudgetAction::Fail;
+                    return std::nullopt;
+                  },
+                  [](AnalyzerOptions &O, BudgetAction A) { O.OnBudget = A; }),
+      outputSwitch("dump-invariants", &CliOptions::DumpInvariants),
+      outputSwitch("dump-stats", &CliOptions::DumpStats),
+      outputSwitch("json", &CliOptions::Json),
+      outputSwitch("quiet", &CliOptions::Quiet),
+      outputSwitch("fail-on-alarms", &CliOptions::FailOnAlarms),
+  };
+  return Table;
+}
 
-  // A second '-' would read an already-drained stdin as an empty program.
-  if (std::count(Cli.InputPaths.begin(), Cli.InputPaths.end(),
-                 std::string("-")) > 1) {
-    Failf("astral-cli: error: stdin ('-') may be given only once");
+ParseOutcome parseArgs(const std::vector<std::string> &Args, CliOptions &Cli) {
+  ParseOutcome Res;
+  if (std::any_of(Args.begin(), Args.end(), [](const std::string &A) {
+        return A == "--help" || A == "-h";
+      })) {
+    Res.ShowHelp = true;
     return Res;
   }
+  std::vector<Flag> Table;
+  for (const Option &O : options())
+    Table.push_back({O.Flag, O.Expect, [&Cli, &O](const std::string &V) {
+                       if (O.Output) {
+                         Cli.*O.Output = true;
+                         return true;
+                       }
+                       std::optional<OptionOp> Op = O.Parse(V);
+                       if (Op)
+                         Cli.FlagOps.push_back(std::move(*Op));
+                       return Op.has_value();
+                     }});
+  walkFlags(
+      Args, Table, "astral-cli",
+      [&](const std::string &A) {
+        if (A.size() > 1 && A[0] == '-') {
+          Res.Error = "astral-cli: error: unknown flag '" + A + "'";
+          return false;
+        }
+        Cli.InputPaths.push_back(A);
+        return true;
+      },
+      Res.Error, &Cli.FlagArgs);
+  // A second '-' would read an already-drained stdin as an empty program.
+  if (Res.Error.empty() && std::count(Cli.InputPaths.begin(),
+                                      Cli.InputPaths.end(),
+                                      std::string("-")) > 1)
+    Res.Error = "astral-cli: error: stdin ('-') may be given only once";
+  Res.Ok = Res.Error.empty();
   return Res;
 }
 
@@ -650,8 +598,6 @@ AnalyzerOptions assembleOptions(const CliOptions &Cli, const std::string &Path,
     Warnings.push_back("astral-cli: warning: " + Path + ": " + W);
   for (const auto &Op : Cli.FlagOps)
     Op(O);
-  if (Cli.DumpInvariants)
-    O.RecordLoopInvariants = true;
   return O;
 }
 

@@ -524,8 +524,7 @@ AbstractEnv Iterator::execWhile(const Stmt *S, AbstractEnv Env) {
       (void)execLoopBody(S, std::move(In));
     Exits.push_back(std::move(LoopStack.back().BreakAcc));
 
-    if (Opts.RecordLoopInvariants)
-      noteLoopInvariant(S->LoopId, Invariant);
+    noteLoopInvariant(S->LoopId, Invariant);
     Exits.push_back(T.guard(std::move(Invariant), S->Cond, false));
   }
 

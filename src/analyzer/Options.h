@@ -142,7 +142,6 @@ struct AnalyzerOptions {
   // -- Misc ----------------------------------------------------------------------
   std::string EntryFunction = "main";
   unsigned MaxCallDepth = 64;
-  bool RecordLoopInvariants = true;
 };
 
 } // namespace astral

@@ -21,6 +21,12 @@
 ///      @astral thread sampler sample_loop
 ///      @astral entry main */
 ///
+/// Each directive is the command-line flag of the same option, declared once
+/// in cli::options(): its arguments join into the flag's value (`volatile
+/// speed 0 300` reads as `--volatile speed=0:300`, `thread sampler
+/// sample_loop` as `--threads=sampler:sample_loop`), so a directive accepts
+/// exactly the values its flag accepts. A trailing `*/` is ignored.
+///
 /// Shared by astral-cli and the example harnesses (one source of truth for
 /// each embedded program's spec).
 ///

@@ -102,9 +102,7 @@ AbstractEnv Transfer::initialEnv() const {
     if (CI.IsVolatile)
       V.Itv = VolatileRng[C];
     else if (VI.IsPersistent)
-      V.Itv = Interval::point(0).meet(CellRange[C]).isBottom()
-                  ? Interval::point(0)
-                  : Interval::point(0);
+      V.Itv = Interval::point(0);
     else
       V.Itv = CellRange[C];
     Env.setCell(C, V);
@@ -581,21 +579,14 @@ void Transfer::relationalAssign(AbstractEnv &Env, CellId Target,
 
 void Transfer::relationalForget(AbstractEnv &Env, CellId C,
                                 const Interval &V) {
-  for (size_t D = 0; D < Reg.size(); ++D) {
-    std::vector<std::pair<PackId, DomainState::Ptr>> Slots;
+  // Each pack's forget reads only its own state and the cell map, which
+  // setRel leaves untouched, so every result applies at once.
+  TransferEvalContext Ctx(*this, Env);
+  for (size_t D = 0; D < Reg.size(); ++D)
     for (PackId Pack : Reg.domain(D).packsOf(C))
       if (DomainState::Ptr S = Env.rel(D, Pack))
-        Slots.push_back({Pack, std::move(S)});
-    if (Slots.empty())
-      continue;
-    std::vector<DomainState::Ptr> NewStates(Slots.size());
-    TransferEvalContext Ctx(*this, Env);
-    for (size_t I = 0; I < Slots.size(); ++I)
-      NewStates[I] = Slots[I].second->forget(C, V, Ctx);
-    for (size_t I = 0; I < Slots.size(); ++I)
-      if (NewStates[I])
-        Env.setRel(D, Slots[I].first, std::move(NewStates[I]));
-  }
+        if (DomainState::Ptr New = S->forget(C, V, Ctx))
+          Env.setRel(D, Pack, std::move(New));
 }
 
 bool Transfer::exprReadsShared(const AbstractEnv &Env, const Expr *E) {
@@ -1044,36 +1035,25 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
 void Transfer::preJoinReduce(AbstractEnv &A, AbstractEnv &B) {
   if (A.isBottom() || B.isBottom())
     return;
+  // Both directions of a pack read only the pack's two pre-states and the
+  // cell maps, which setRel leaves untouched, so each pack's results apply
+  // at once.
+  TransferEvalContext CtxA(*this, A), CtxB(*this, B);
   for (size_t D = 0; D < Reg.size(); ++D) {
     const RelationalDomain &Dom = Reg.domain(D);
     if (!Dom.usesPreJoinReduction())
       continue;
-    // Both directions of every pack read only the two pre-states (cell maps
-    // are untouched here): every new state is computed before any is
-    // applied.
-    TransferEvalContext CtxA(*this, A), CtxB(*this, B);
-    std::vector<std::tuple<PackId, DomainState::Ptr, DomainState::Ptr>> Slots;
     Dom.forEachPack([&](PackId Pack) {
       DomainState::Ptr SA = A.rel(D, Pack);
       DomainState::Ptr SB = B.rel(D, Pack);
       if (!SA || !SB || SA == SB)
         return;
-      Slots.push_back({Pack, std::move(SA), std::move(SB)});
+      DomainState::Ptr NewA = SA->preJoinWith(*SB, CtxA);
+      DomainState::Ptr NewB = SB->preJoinWith(*SA, CtxB);
+      if (NewA)
+        A.setRel(D, Pack, std::move(NewA));
+      if (NewB)
+        B.setRel(D, Pack, std::move(NewB));
     });
-    if (Slots.empty())
-      continue;
-    std::vector<std::pair<DomainState::Ptr, DomainState::Ptr>> NewStates(
-        Slots.size());
-    for (size_t I = 0; I < Slots.size(); ++I) {
-      const auto &[Pack, SA, SB] = Slots[I];
-      NewStates[I] = {SA->preJoinWith(*SB, CtxA), SB->preJoinWith(*SA, CtxB)};
-    }
-    for (size_t I = 0; I < Slots.size(); ++I) {
-      PackId Pack = std::get<0>(Slots[I]);
-      if (NewStates[I].first)
-        A.setRel(D, Pack, std::move(NewStates[I].first));
-      if (NewStates[I].second)
-        B.setRel(D, Pack, std::move(NewStates[I].second));
-    }
   }
 }

@@ -25,8 +25,7 @@ const char *astral::domainKindName(DomainKind K) {
   return "?";
 }
 
-std::optional<DomainSet> DomainSet::parse(const std::string &List,
-                                          std::string &Err) {
+std::optional<DomainSet> DomainSet::parse(const std::string &List) {
   DomainSet S; // Interval only; named domains are added.
   size_t At = 0;
   bool Any = false;
@@ -38,28 +37,23 @@ std::optional<DomainSet> DomainSet::parse(const std::string &List,
     if (Name.empty())
       continue;
     Any = true;
-    if (Name == "interval" || Name == "intervals")
+    if (Name == "interval")
       S.enable(DomainKind::Interval);
-    else if (Name == "clocked" || Name == "clock")
+    else if (Name == "clocked")
       S.enable(DomainKind::Clocked);
-    else if (Name == "octagon" || Name == "octagons")
+    else if (Name == "octagon")
       S.enable(DomainKind::Octagon);
-    else if (Name == "tree" || Name == "trees" || Name == "decision-tree")
+    else if (Name == "tree")
       S.enable(DomainKind::DecisionTree);
-    else if (Name == "ellipsoid" || Name == "ellipsoids")
+    else if (Name == "ellipsoid")
       S.enable(DomainKind::Ellipsoid);
     else if (Name == "all")
       S = DomainSet::all();
-    else {
-      Err = "unknown domain '" + Name + "' (expected a comma-separated "
-            "subset of interval,clocked,octagon,tree,ellipsoid)";
+    else
       return std::nullopt;
-    }
   }
-  if (!Any) {
-    Err = "empty domain list";
+  if (!Any)
     return std::nullopt;
-  }
   return S;
 }
 

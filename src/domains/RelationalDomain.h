@@ -100,12 +100,9 @@ public:
 
   bool operator==(const DomainSet &O) const { return Mask == O.Mask; }
 
-  /// Parses a comma-separated domain list ("interval,octagon,tree"). Accepts
-  /// the plural/alternate spellings used by the legacy flags ("octagons",
-  /// "trees", "ellipsoids", "clock"). Returns nullopt and fills \p Err on an
-  /// unknown name or an empty list.
-  static std::optional<DomainSet> parse(const std::string &List,
-                                        std::string &Err);
+  /// Parses a comma-separated domain list ("interval,octagon,tree"). Returns
+  /// nullopt on an unknown name or an empty list.
+  static std::optional<DomainSet> parse(const std::string &List);
   /// Canonical comma-separated rendering.
   std::string toString() const;
 

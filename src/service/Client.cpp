@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
-#include <stdexcept>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -203,28 +202,30 @@ int vetResponse(const JsonValue &Doc) {
 }
 
 int runAnalyze(Client &C, const std::vector<std::string> &Args) {
-  // --priority is a client/daemon scheduling hint, not an analyzer flag:
-  // peel it off before the shared parser (which would reject it) and ship
-  // it in the request envelope instead of the forwarded tokens.
+  // --priority is a client/daemon scheduling hint that the analyzer's parser
+  // would reject: it travels in the request envelope, and every other token
+  // goes on to that parser and into the forwarded tokens.
   int Priority = 0;
   std::vector<std::string> DriverArgs;
-  for (const std::string &A : Args) {
-    if (A.rfind("--priority=", 0) == 0) {
-      try {
-        size_t End = 0;
-        Priority = std::stoi(A.substr(std::strlen("--priority=")), &End);
-        if (End != A.size() - std::strlen("--priority="))
-          throw std::invalid_argument(A);
-      } catch (const std::exception &) {
-        std::fprintf(stderr,
-                     "astral client: error: --priority expects an integer, "
-                     "got '%s'\n",
-                     A.c_str());
-        return 1;
-      }
-      continue;
-    }
-    DriverArgs.push_back(A);
+  std::string Err;
+  cli::walkFlags(
+      Args,
+      {{"priority", "an integer",
+        [&](const std::string &V) {
+          std::optional<int> N = cli::parseInt(V);
+          if (N)
+            Priority = *N;
+          return N.has_value();
+        }}},
+      "astral client",
+      [&](const std::string &A) {
+        DriverArgs.push_back(A);
+        return true;
+      },
+      Err);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "%s\n", Err.c_str());
+    return 1;
   }
 
   cli::CliOptions Cli;
@@ -260,7 +261,6 @@ int runAnalyze(Client &C, const std::vector<std::string> &Args) {
   for (const cli::LoadedFile &F : *Files)
     R.Files.push_back(FilePayload{F.Path, F.Source, F.Headers});
 
-  std::string Err;
   std::optional<JsonValue> Doc = C.roundTrip(R, Err);
   if (!Doc) {
     std::fprintf(stderr, "%s\n", Err.c_str());
@@ -310,46 +310,24 @@ int runSimpleOp(Client &C, Request::Op Op) {
 int runClientCommand(const std::vector<std::string> &Args) {
   std::string SocketPath;
   ConnectOptions Opts;
-  auto ParseU = [](const std::string &V) -> std::optional<unsigned> {
-    try {
-      size_t End = 0;
-      unsigned long X = std::stoul(V, &End);
-      if (End != V.size() || X > 0xffffffffUL)
-        return std::nullopt;
-      return unsigned(X);
-    } catch (const std::exception &) {
-      return std::nullopt;
-    }
-  };
-  size_t I = 0;
-  for (; I < Args.size(); ++I) {
-    if (Args[I].rfind("--socket=", 0) == 0) {
-      SocketPath = Args[I].substr(std::strlen("--socket="));
-    } else if (Args[I].rfind("--connect-retries=", 0) == 0) {
-      std::optional<unsigned> N =
-          ParseU(Args[I].substr(std::strlen("--connect-retries=")));
-      if (!N) {
-        std::fprintf(stderr,
-                     "astral client: error: --connect-retries expects a "
-                     "non-negative integer, got '%s'\n",
-                     Args[I].c_str());
-        return 1;
-      }
-      Opts.Retries = *N;
-    } else if (Args[I].rfind("--io-timeout-ms=", 0) == 0) {
-      std::optional<unsigned> N =
-          ParseU(Args[I].substr(std::strlen("--io-timeout-ms=")));
-      if (!N) {
-        std::fprintf(stderr,
-                     "astral client: error: --io-timeout-ms expects a "
-                     "non-negative integer, got '%s'\n",
-                     Args[I].c_str());
-        return 1;
-      }
-      Opts.IoTimeoutMs = *N;
-    } else {
-      break;
-    }
+  std::string Err;
+  // The client's own flags come first; the first other token is the
+  // operation.
+  size_t I = cli::walkFlags(
+      Args,
+      {{"socket", "a path",
+        [&](const std::string &V) {
+          SocketPath = V;
+          return true;
+        }},
+       cli::unsignedFlag("connect-retries", 0, UINT32_MAX,
+                         [&](uint64_t N) { Opts.Retries = unsigned(N); }),
+       cli::unsignedFlag("io-timeout-ms", 0, UINT32_MAX,
+                         [&](uint64_t N) { Opts.IoTimeoutMs = unsigned(N); })},
+      "astral client", [](const std::string &) { return false; }, Err);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "%s\n", Err.c_str());
+    return 1;
   }
   if (SocketPath.empty()) {
     std::fprintf(stderr,
@@ -366,7 +344,6 @@ int runClientCommand(const std::vector<std::string> &Args) {
   const std::string &Op = Args[I];
   std::vector<std::string> Rest(Args.begin() + ptrdiff_t(I) + 1, Args.end());
 
-  std::string Err;
   std::unique_ptr<Client> C = Client::connect(SocketPath, Err, Opts);
   if (!C) {
     std::fprintf(stderr, "%s\n", Err.c_str());

@@ -7,6 +7,8 @@
 
 #include "service/Json.h"
 
+#include "analyzer/CliOptions.h"
+
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -19,26 +21,6 @@ namespace service {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-void escapeInto(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"': Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\r': Out += "\\r"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 
 void serializeInto(std::string &Out, const JsonValue &V) {
   switch (V.kind()) {
@@ -68,7 +50,7 @@ void serializeInto(std::string &Out, const JsonValue &V) {
   }
   case JsonValue::Kind::String:
     Out += '"';
-    escapeInto(Out, V.asString());
+    Out += cli::jsonEscape(V.asString());
     Out += '"';
     break;
   case JsonValue::Kind::Array: {
@@ -91,7 +73,7 @@ void serializeInto(std::string &Out, const JsonValue &V) {
         Out += ',';
       First = false;
       Out += '"';
-      escapeInto(Out, Key);
+      Out += cli::jsonEscape(Key);
       Out += "\":";
       serializeInto(Out, Member);
     }

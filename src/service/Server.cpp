@@ -413,68 +413,38 @@ void stopOnSignal(int) {
     SignalTarget->requestStop(); // write(2) only — async-signal-safe.
 }
 
-std::optional<unsigned> parseUnsigned(const std::string &V) {
-  try {
-    size_t End = 0;
-    unsigned long X = std::stoul(V, &End);
-    if (End != V.size() || X > 0xffffffffUL)
-      return std::nullopt;
-    return unsigned(X);
-  } catch (const std::exception &) {
-    return std::nullopt;
-  }
-}
-
 } // namespace
 
 int runServeCommand(const std::vector<std::string> &Args) {
   ServerConfig Cfg;
-  for (size_t I = 0; I < Args.size(); ++I) {
-    const std::string &A = Args[I];
-    auto Value = [&](const char *Prefix) -> std::optional<std::string> {
-      if (A.rfind(Prefix, 0) == 0)
-        return A.substr(std::strlen(Prefix));
-      return std::nullopt;
-    };
-    if (auto V = Value("--socket=")) {
-      Cfg.SocketPath = *V;
-    } else if (auto V = Value("--jobs=")) {
-      std::optional<unsigned> N = parseUnsigned(*V);
-      if (!N || *N > Scheduler::MaxThreads) {
-        std::fprintf(stderr,
-                     "astral serve: error: --jobs expects an integer in "
-                     "[0, %u], got '%s'\n",
-                     Scheduler::MaxThreads, V->c_str());
-        return 1;
-      }
-      Cfg.Jobs = *N;
-    } else if (auto V = Value("--cache-entries=")) {
-      std::optional<unsigned> N = parseUnsigned(*V);
-      if (!N || *N == 0) {
-        std::fprintf(stderr,
-                     "astral serve: error: --cache-entries expects a "
-                     "positive integer, got '%s'\n",
-                     V->c_str());
-        return 1;
-      }
-      Cfg.CacheEntries = *N;
-    } else if (auto V = Value("--max-request-mb=")) {
-      std::optional<unsigned> N = parseUnsigned(*V);
-      if (!N || *N == 0) {
-        std::fprintf(stderr,
-                     "astral serve: error: --max-request-mb expects a "
-                     "positive integer, got '%s'\n",
-                     V->c_str());
-        return 1;
-      }
-      Cfg.MaxRequestBytes = size_t(*N) << 20;
-    } else if (A == "--quiet") {
-      Cfg.Verbose = false;
-    } else {
-      std::fprintf(stderr, "astral serve: error: unknown argument '%s'\n",
-                   A.c_str());
-      return 1;
-    }
+  std::string Err;
+  cli::walkFlags(
+      Args,
+      {{"socket", "a path",
+        [&](const std::string &V) {
+          Cfg.SocketPath = V;
+          return true;
+        }},
+       cli::unsignedFlag("jobs", 0, Scheduler::MaxThreads,
+                         [&](uint64_t N) { Cfg.Jobs = unsigned(N); }),
+       cli::unsignedFlag("cache-entries", 1, UINT32_MAX,
+                         [&](uint64_t N) { Cfg.CacheEntries = N; }),
+       cli::unsignedFlag("max-request-mb", 1, UINT32_MAX,
+                         [&](uint64_t N) { Cfg.MaxRequestBytes = N << 20; }),
+       {"quiet", "",
+        [&](const std::string &) {
+          Cfg.Verbose = false;
+          return true;
+        }}},
+      "astral serve",
+      [&](const std::string &A) {
+        Err = "astral serve: error: unknown argument '" + A + "'";
+        return false;
+      },
+      Err);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "%s\n", Err.c_str());
+    return 1;
   }
   if (Cfg.SocketPath.empty()) {
     std::fprintf(stderr, "astral serve: error: --socket=<path> is required\n");
@@ -482,7 +452,6 @@ int runServeCommand(const std::vector<std::string> &Args) {
   }
 
   Server S(Cfg);
-  std::string Err;
   if (!S.start(Err)) {
     std::fprintf(stderr, "%s\n", Err.c_str());
     return 1;

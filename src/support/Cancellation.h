@@ -24,8 +24,8 @@
 ///    master-thread sequential points (the Iterator's fixpoint heads outside
 ///    collect mode, the ConcurrentAnalysis round heads), where liveBytes()
 ///    is a function of the analysis alone, not of thread timing — that is
-///    what makes budget-degraded reports byte-identical across the
-///    jobs x dispatch matrix.
+///    what makes budget-degraded reports byte-identical for every --jobs
+///    value.
 ///
 /// Both polls unwind via AnalysisCancelled, a typed exception carrying the
 /// reason; AnalysisSession turns OverBudget into the degradation ladder and

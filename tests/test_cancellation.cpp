@@ -7,7 +7,7 @@
 // workers, the fault-injection arming semantics, and the end-to-end
 // contracts on a generated Sect. 4 family member — deadline expiry unwinds
 // with a typed reason, the memory-budget degradation ladder sheds precision
-// deterministically across the jobs x dispatch matrix, exhaustion waives the
+// deterministically for every --jobs value, exhaustion waives the
 // budget on the last rung instead of failing, and --on-budget=fail unwinds.
 //
 //===----------------------------------------------------------------------===//

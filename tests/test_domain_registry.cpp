@@ -438,27 +438,21 @@ TEST(EllipsoidState, FilterStepSurvivesSwappedStatePair) {
 //===----------------------------------------------------------------------===//
 
 TEST(DomainSet, ParseAndRender) {
-  std::string Err;
-  auto Full = DomainSet::parse("interval,clocked,octagon,tree,ellipsoid", Err);
-  ASSERT_TRUE(Full.has_value()) << Err;
+  auto Full = DomainSet::parse("interval,clocked,octagon,tree,ellipsoid");
+  ASSERT_TRUE(Full.has_value());
   EXPECT_EQ(*Full, DomainSet::all());
   EXPECT_EQ(Full->toString(), "interval,clocked,octagon,tree,ellipsoid");
 
-  auto Sub = DomainSet::parse("octagon,tree", Err);
-  ASSERT_TRUE(Sub.has_value()) << Err;
+  auto Sub = DomainSet::parse("octagon,tree");
+  ASSERT_TRUE(Sub.has_value());
   EXPECT_TRUE(Sub->has(DomainKind::Interval)) << "interval is always on";
   EXPECT_TRUE(Sub->has(DomainKind::Octagon));
   EXPECT_TRUE(Sub->has(DomainKind::DecisionTree));
   EXPECT_FALSE(Sub->has(DomainKind::Clocked));
   EXPECT_FALSE(Sub->has(DomainKind::Ellipsoid));
 
-  // Legacy plural spellings keep working.
-  auto Legacy = DomainSet::parse("octagons,trees,ellipsoids,clock", Err);
-  ASSERT_TRUE(Legacy.has_value()) << Err;
-  EXPECT_EQ(*Legacy, DomainSet::all());
-
-  EXPECT_FALSE(DomainSet::parse("bogus", Err).has_value());
-  EXPECT_FALSE(DomainSet::parse("", Err).has_value());
+  EXPECT_FALSE(DomainSet::parse("bogus").has_value());
+  EXPECT_FALSE(DomainSet::parse("").has_value());
 }
 
 TEST(DomainSet, IntervalCannotBeDisabled) {

@@ -91,11 +91,6 @@ const std::vector<MatrixCase> &matrix() {
       {"default unroll",
        [](AnalyzerOptions &O) { O.DefaultUnroll += 1; },
        StaleFrom::Execution},
-      {"record loop invariants",
-       [](AnalyzerOptions &O) {
-         O.RecordLoopInvariants = !O.RecordLoopInvariants;
-       },
-       StaleFrom::Execution},
   };
   return Cases;
 }

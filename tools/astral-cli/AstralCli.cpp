@@ -26,6 +26,18 @@
 // pool (--jobs) and the reports print in input order (a JSON array in
 // --json mode).
 //
+// One grammar for every mode: each analyzer option is declared once in
+// cli::options(), which both the flags and the `@astral` directives read,
+// and the subcommands walk their own small tables with the same walker
+// (cli::walkFlags) and value parsers. A switch is `--name`; a value flag is
+// `--name=<v>` or `--name <v>`. A value must parse whole: integers are
+// plain decimal digits within the flag's range, numbers are decimal (or
+// inf) and never nan. A directive reads its arguments as its flag's value —
+// `@astral volatile speed 0 300` as `--volatile speed=0:300`, `@astral
+// thread t1 worker` as `--threads=t1:worker`, the other seven as the one
+// value — ignoring a trailing `*/`; a refused value makes a flag exit 1
+// and a directive warn without applying.
+//
 // Exit codes: 0 analysis completed (alarms allowed), 1 usage or I/O error,
 // 2 frontend (preprocess/parse/sema/lower) failure on any file, 3 alarms
 // raised while --fail-on-alarms is active, 4 analysis stopped by resource
@@ -41,6 +53,7 @@
 #include "service/Server.h"
 #include "support/Cancellation.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -123,32 +136,23 @@ int runEmitFamily(const std::vector<std::string> &Args) {
   codegen::GeneratorConfig C;
   C.TargetLines = 8000;
   C.Seed = 1234; // The benches' 8-kLOC fig2 member by default.
-  for (const std::string &A : Args) {
-    auto NumVal = [&](const char *Prefix) -> std::optional<unsigned long> {
-      if (A.rfind(Prefix, 0) != 0)
-        return std::nullopt;
-      try {
-        size_t End = 0;
-        std::string V = A.substr(std::string(Prefix).size());
-        unsigned long N = std::stoul(V, &End);
-        if (End != V.size())
-          return std::nullopt;
-        return N;
-      } catch (const std::exception &) {
-        return std::nullopt;
-      }
-    };
-    if (auto N = NumVal("--lines=")) {
-      C.TargetLines = static_cast<unsigned>(*N);
-    } else if (auto N = NumVal("--seed=")) {
-      C.Seed = *N;
-    } else {
-      std::fprintf(stderr,
-                   "astral-cli: error: emit-family expects --lines=<n> "
-                   "and/or --seed=<n>, got '%s'\n",
-                   A.c_str());
-      return 1;
-    }
+  std::string Err;
+  cli::walkFlags(
+      Args,
+      {cli::unsignedFlag("lines", 0, UINT32_MAX,
+                         [&](uint64_t N) { C.TargetLines = unsigned(N); }),
+       cli::unsignedFlag("seed", 0, UINT64_MAX,
+                         [&](uint64_t N) { C.Seed = N; })},
+      "astral-cli",
+      [&](const std::string &A) {
+        Err = "astral-cli: error: emit-family expects --lines=<n> and/or "
+              "--seed=<n>, got '" + A + "'";
+        return false;
+      },
+      Err);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "%s\n", Err.c_str());
+    return 1;
   }
   codegen::FamilyProgram FP = codegen::generateFamilyProgram(C);
   std::string Out;
