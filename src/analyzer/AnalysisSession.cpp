@@ -107,7 +107,6 @@ void fingerprintPacking(const AnalyzerOptions &O, FingerprintWriter &W) {
   W.field("domains", O.Domains.toString());
   W.field("max_oct_pack_size", uint64_t(O.MaxOctPackSize));
   W.field("max_bools_per_tree_pack", uint64_t(O.MaxBoolsPerTreePack));
-  W.field("max_nums_per_tree_pack", uint64_t(O.MaxNumsPerTreePack));
   std::string Restrict;
   for (uint32_t Id : O.RestrictOctPacks) { // std::set: already sorted.
     if (!Restrict.empty())
@@ -121,21 +120,11 @@ void fingerprintPacking(const AnalyzerOptions &O, FingerprintWriter &W) {
 void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
   W.field("enable_linearization", O.EnableLinearization);
   W.field("widening_with_thresholds", O.WideningWithThresholds);
-  W.field("threshold_alpha", O.ThresholdAlpha);
-  W.field("threshold_lambda", O.ThresholdLambda);
-  W.field("threshold_count", uint64_t(O.ThresholdCount));
   for (size_t I = 0; I < O.ExtraThresholds.size(); ++I)
     W.field("extra_threshold", O.ExtraThresholds[I]);
-  W.field("delayed_widening_steps", uint64_t(O.DelayedWideningSteps));
   W.field("delayed_widening", O.DelayedWidening);
-  W.field("delayed_widening_fairness", uint64_t(O.DelayedWideningFairness));
   W.field("max_iterations", uint64_t(O.MaxIterations));
-  W.field("narrowing_iterations", uint64_t(O.NarrowingIterations));
-  W.field("float_perturbation", O.FloatPerturbation);
   W.field("default_unroll", uint64_t(O.DefaultUnroll));
-  for (const auto &[LoopId, Count] : O.LoopUnroll)
-    W.field("loop_unroll",
-            std::to_string(LoopId) + ":" + std::to_string(Count));
   for (const std::string &F : O.PartitionFunctions)
     W.field("partition_function", F);
   W.field("max_partitions", uint64_t(O.MaxPartitions));
@@ -567,7 +556,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   SchedulerScope Scope(Scheduler::inWorkerTask() ? nullptr
                                                  : schedulerForRun());
   Timer AnalysisTimer;
-  size_t MaxPartitionWidth = 0;
   if (In.Options.Threads.empty()) {
     Iterator Iter(*Frontend->Program, *Layout->Layout, *P.Registry,
                   In.Options, E.Stats, Alarms);
@@ -575,7 +563,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     E.Alarms = Alarms.alarms();
     E.LoopInvariants = Iter.loopInvariants();
     E.RelPackImproved = Iter.transfer().RelPackImproved;
-    MaxPartitionWidth = Iter.maxPartitionDispatchWidth();
   } else {
     // Threaded program: the interference fixpoint rounds of
     // concurrency::ConcurrentAnalysis replace the single sequential run.
@@ -589,7 +576,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     E.Alarms = CR.Alarms.alarms();
     E.LoopInvariants = std::move(CR.LoopInvariants);
     E.RelPackImproved = std::move(CR.RelPackImproved);
-    MaxPartitionWidth = CR.MaxPartitionWidth;
     E.Stats.set("concurrency.threads", In.Options.Threads.size());
     E.Stats.set("concurrency.rounds", CR.Rounds);
     E.Stats.set("concurrency.interference_cells", CR.InterferenceCells);
@@ -612,11 +598,6 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   E.Stats.set("analysis.octagon_closures", FullSweeps + IncSweeps);
   E.Stats.set("analysis.octagon_closures_full", FullSweeps);
   E.Stats.set("analysis.octagon_closures_incremental", IncSweeps);
-  // Trace-partition dispatch shape: the widest disjunction the Iterator
-  // actually fanned out (`parallel.partitions.dispatched` accumulates
-  // per-dispatch widths during the run) — the proof the grain ran, used by
-  // the golden matrix and the dispatch tests.
-  E.Stats.set("parallel.partitions.max_width", MaxPartitionWidth);
   return E;
 }
 

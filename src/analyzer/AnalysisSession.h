@@ -35,8 +35,9 @@
 ///
 /// Execution policy: AnalyzerOptions::Jobs selects the Scheduler
 /// (Scheduler.h) installed for the abstract-execution phase. The trace
-/// partitions of an `If` inside an `@astral partition` function and the
-/// per-thread runs of an interference round then fan out over it, and
+/// partitions of a straight-line `If` (no loop, call or jump in either
+/// branch) inside an `@astral partition` function and the per-thread runs
+/// of an interference round then fan out over it, and
 /// analyzeBatch() schedules whole files across the same pool. The analysis
 /// semantics — alarms, ranges, invariants, pack census, everything the
 /// report layer prints — are byte-identical for every Jobs value: every

@@ -254,9 +254,11 @@ void printUsage(std::FILE *Out) {
       "execution policy:\n"
       "  --jobs <n>, --jobs=<n>       worker threads for scheduling batch\n"
       "                               files, for the trace partitions of\n"
-      "                               `if` statements inside `@astral\n"
-      "                               partition` functions and for the\n"
-      "                               thread runs of threaded programs\n"
+      "                               straight-line `if` statements (no\n"
+      "                               loop, call or jump in either branch)\n"
+      "                               inside `@astral partition` functions\n"
+      "                               and for the thread runs of threaded\n"
+      "                               programs\n"
       "                               (default: 1; 0 = one per hardware\n"
       "                               thread, i.e. hardware_concurrency;\n"
       "                               values above the hardware thread\n"
@@ -276,7 +278,8 @@ void printUsage(std::FILE *Out) {
       "iteration strategy:\n"
       "  --no-thresholds              plain interval widening\n"
       "  --threshold <v>              extra widening threshold (repeatable)\n"
-      "  --unroll <n>                 default loop unrolling factor\n"
+      "  --unroll <n>                 default loop unrolling factor (at\n"
+      "                               most 1000)\n"
       "  --max-iterations <n>         fixpoint iteration cap\n"
       "\n"
       "environment specification (Sect. 4):\n"
@@ -430,6 +433,9 @@ size_t walkFlags(const std::vector<std::string> &Args,
 const std::vector<Option> &options() {
   using BudgetAction = AnalyzerOptions::BudgetAction;
   constexpr uint64_t U32 = UINT32_MAX;
+  // Each unrolled iteration runs a loop body once more, and nested loops
+  // multiply: the top keeps every accepted value one the analysis finishes.
+  constexpr uint64_t MaxUnroll = 1000;
   static const std::vector<Option> Table = {
       // Execution policy may travel with the input: reports stay
       // byte-identical for every value, so a checked-in `@astral jobs`
@@ -451,7 +457,7 @@ const std::vector<Option> &options() {
                   [](AnalyzerOptions &O, double T) {
                     O.ExtraThresholds.push_back(T);
                   }),
-      unsignedOption("unroll", "unroll", 0, U32,
+      unsignedOption("unroll", "unroll", 0, MaxUnroll,
                      [](AnalyzerOptions &O, uint64_t N) {
                        O.DefaultUnroll = N;
                      }),

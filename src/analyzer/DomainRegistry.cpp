@@ -142,19 +142,6 @@ void OctagonState::refineOut(ReductionChannel &Out) const {
     Out.publish(Oct.cells()[I], Oct.varInterval(static_cast<int>(I)));
 }
 
-DomainState::Ptr OctagonState::refineIn(const ReductionChannel &In) const {
-  std::shared_ptr<OctagonState> N;
-  In.forEachFact([&](CellId C, const Interval &I) {
-    int Idx = (N ? N->Oct : Oct).indexOf(C);
-    if (Idx < 0)
-      return;
-    if (!N)
-      N = std::make_shared<OctagonState>(Oct);
-    N->Oct.meetVarInterval(Idx, I);
-  });
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // Decision-tree helpers (per-leaf evaluation, moved out of Transfer)
 //===----------------------------------------------------------------------===//
@@ -488,20 +475,6 @@ void DecisionTreeState::refineOut(ReductionChannel &Out) const {
     Out.publish(Tree.numCells()[N], Tree.numInterval(static_cast<int>(N)));
 }
 
-DomainState::Ptr DecisionTreeState::refineIn(const ReductionChannel &In) const {
-  std::shared_ptr<DecisionTreeState> N;
-  In.forEachFact([&](CellId C, const Interval &I) {
-    int Idx = Tree.numIndexOf(C);
-    if (Idx < 0)
-      return;
-    if (!N)
-      N = std::make_shared<DecisionTreeState>(Tree);
-    N->Tree.refineNum(Idx,
-                      std::vector<Interval>(N->Tree.leafCount(), I));
-  });
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // EllipsoidPackState
 //===----------------------------------------------------------------------===//
@@ -675,25 +648,6 @@ void EllipsoidPackState::refineOut(ReductionChannel &Out) const {
     if (std::isfinite(BX))
       Out.publish(Pair.first, Interval(-BX, BX));
   }
-}
-
-DomainState::Ptr
-EllipsoidPackState::refineIn(const ReductionChannel &In) const {
-  std::shared_ptr<EllipsoidPackState> N;
-  for (const auto &[Pair, K] : Map.K) {
-    const Interval *IX = In.fact(Pair.first);
-    const Interval *IY = In.fact(Pair.second);
-    if (!IX || !IY)
-      continue;
-    Ellipsoid Reduced =
-        Ellipsoid{K}.reduceFromIntervals(Params, *IX, *IY, /*Equal=*/false);
-    if (Reduced.K >= K)
-      continue;
-    if (!N)
-      N = std::make_shared<EllipsoidPackState>(Map, Params);
-    N->Map.K[Pair] = Reduced.K;
-  }
-  return N;
 }
 
 DomainState::Ptr

@@ -63,7 +63,6 @@ public:
   Ptr guard(const RelGuard &G, const DomainEvalContext &Ctx,
             ReductionChannel &Out) const override;
   void refineOut(ReductionChannel &Out) const override;
-  Ptr refineIn(const ReductionChannel &In) const override;
   bool hasRelationalInfo() const override { return Oct.hasRelationalInfo(); }
   std::string toString() const override { return Oct.toString(); }
 
@@ -97,7 +96,6 @@ public:
   Ptr guardBool(CellId C, bool Positive,
                 ReductionChannel &Out) const override;
   void refineOut(ReductionChannel &Out) const override;
-  Ptr refineIn(const ReductionChannel &In) const override;
   bool hasRelationalInfo() const override {
     return Tree.hasRelationalInfo();
   }
@@ -132,7 +130,6 @@ public:
   Ptr forget(CellId C, const Interval &V,
              const DomainEvalContext &Ctx) const override;
   void refineOut(ReductionChannel &Out) const override;
-  Ptr refineIn(const ReductionChannel &In) const override;
   Ptr preJoinWith(const DomainState &Other,
                   const DomainEvalContext &Ctx) const override;
   bool hasRelationalInfo() const override;

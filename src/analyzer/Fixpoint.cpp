@@ -44,24 +44,20 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
 
   for (unsigned Iter = 0;; ++Iter) {
     // Fixpoint head: the Iterator's cancellation choke point. The
-    // flag/deadline poll may run on any thread (partition-worker clones
-    // included — timeout outcomes are never byte-compared). The budget poll
-    // is restricted to sites that execute identically for every --jobs
-    // value: top-level fixpoint heads of the master iterator. "Master" is
-    // structural, never thread identity (the whole session may itself run
-    // on a pool worker in batch or daemon mode): partition-worker clones
-    // are excluded by CollectMode, fixpoints inside called functions by
-    // CallDepth == 0 (run() inlines the entry body without an execCall
-    // frame; widths above one only exist inside partitioned calls, so
-    // everything that could migrate between a worker clone and the master
-    // across --jobs values sits under CallDepth > 0), and the per-thread
+    // flag/deadline poll may run on any thread (timeout outcomes are never
+    // byte-compared). The budget poll is restricted to sites that execute
+    // identically for every --jobs value: top-level fixpoint heads of the
+    // session's own iterator. Partition workers never get here: they only
+    // run straight-line `if` regions, which hold no loop. Fixpoints inside
+    // called functions are excluded by CallDepth == 0 (run() inlines the
+    // entry body without an execCall frame), and the per-thread
     // interference iterators by !T.Conc (whole thread bodies move onto
     // workers when the rounds fan out; the ConcurrentAnalysis round heads
     // poll instead). At these sites the live figure is a function of the
     // analysis alone, not of worker timing — that is the budget-degradation
     // determinism contract.
     cancel::poll();
-    if (!CollectMode && CallDepth == 0 && !T.Conc)
+    if (CallDepth == 0 && !T.Conc)
       cancel::pollBudget();
     Stats.add("fixpoint.iterations");
     // Tracing facility (Sect. 5.3: "tracing facilities with various degrees

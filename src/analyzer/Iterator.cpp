@@ -110,13 +110,8 @@ Iterator::Iterator(const Program &Prog, const memory::CellLayout &L,
   }
 }
 
-unsigned Iterator::unrollFactor(uint32_t LoopId) const {
-  auto It = Opts.LoopUnroll.find(LoopId);
-  return It == Opts.LoopUnroll.end() ? Opts.DefaultUnroll : It->second;
-}
-
 AbstractEnv Iterator::perturb(AbstractEnv Env) const {
-  if (Env.isBottom() || Opts.FloatPerturbation <= 0)
+  if (Env.isBottom())
     return Env;
   double Eps = Opts.FloatPerturbation;
   std::vector<std::pair<CellId, ScalarAbs>> Updates;
@@ -178,16 +173,32 @@ void Iterator::recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
   It->second = AbstractEnv::join(It->second, Incoming);
 }
 
-void Iterator::noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
-  if (CollectMode)
-    PendingInvariants.emplace_back(LoopId, Inv);
-  else
-    recordLoopInvariant(LoopId, Inv);
-}
-
 //===----------------------------------------------------------------------===//
 // Trace-partition dispatch
 //===----------------------------------------------------------------------===//
+
+/// True when nothing under \p S is a loop, a call or a jump: a partition
+/// worker running \p S never reaches its parent's loop or call contexts and
+/// never records a loop invariant.
+static bool isStraightLine(const Stmt *S) {
+  if (!S)
+    return true;
+  switch (S->Kind) {
+  case StmtKind::While:
+  case StmtKind::Call:
+  case StmtKind::Return:
+  case StmtKind::Break:
+  case StmtKind::Continue:
+    return false;
+  default:
+    break;
+  }
+  for (const Stmt *C : S->Stmts)
+    if (!isStraightLine(C))
+      return false;
+  return isStraightLine(S->Then) && isStraightLine(S->Else) &&
+         isStraightLine(S->Body) && isStraightLine(S->Step);
+}
 
 struct Iterator::PartitionWorker {
   AlarmSet Alarms;
@@ -201,28 +212,7 @@ Iterator::Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms)
     : P(Parent.P), Layout(Parent.Layout), Reg(Parent.Reg), Opts(Parent.Opts),
       Stats(Parent.Stats), Alarms(WorkerAlarms), Thr(Parent.Thr),
       T(Parent.T, WorkerAlarms), PartitionDepth(Parent.PartitionDepth),
-      CallDepth(Parent.CallDepth), FuncLocalCells(Parent.FuncLocalCells),
-      CollectMode(true) {
-  // The inherited stack levels are the master's: mark them collect-only so
-  // any break/continue/return crossing into them is buffered, never folded
-  // into a worker-local accumulator (per-worker eager folds would not
-  // replay the sequential reduce/join operation sequence byte for byte).
-  LoopStack.resize(Parent.LoopStack.size());
-  for (LoopCtx &C : LoopStack)
-    C.CollectOnly = true;
-  CallStack.resize(Parent.CallStack.size());
-  for (CallCtx &C : CallStack)
-    C.CollectOnly = true;
-}
-
-void Iterator::foldPending(AbstractEnv &Acc,
-                           std::vector<AbstractEnv> &Pending) {
-  for (AbstractEnv &E : Pending) {
-    T.preJoinReduce(Acc, E);
-    Acc = AbstractEnv::join(Acc, E);
-  }
-  Pending.clear();
-}
+      CallDepth(Parent.CallDepth), FuncLocalCells(Parent.FuncLocalCells) {}
 
 void Iterator::mergeWorker(PartitionWorker &W) {
   // Alarms replay through AlarmSet::merge, not Transfer::alarm — the
@@ -234,43 +224,24 @@ void Iterator::mergeWorker(PartitionWorker &W) {
   for (size_t D = 0; D < T.RelPackImproved.size(); ++D)
     for (size_t Pk = 0; Pk < T.RelPackImproved[D].size(); ++Pk)
       T.RelPackImproved[D][Pk] |= W.Iter.T.RelPackImproved[D][Pk];
-
-  // Shared-level accumulators: replay the worker's buffered environments
-  // with the canonical reduce-then-join fold. mergeWorker runs per worker
-  // in partition order, and each Pending list is in subtree order, so each
-  // accumulator sees exactly the sequential operation sequence.
-  for (size_t L = 0; L < LoopStack.size() && L < W.Iter.LoopStack.size();
-       ++L) {
-    foldPending(LoopStack[L].BreakAcc, W.Iter.LoopStack[L].PendingBreaks);
-    foldPending(LoopStack[L].ContinueAcc,
-                W.Iter.LoopStack[L].PendingContinues);
-  }
-  for (size_t L = 0; L < CallStack.size() && L < W.Iter.CallStack.size(); ++L)
-    foldPending(CallStack[L].ReturnAcc, W.Iter.CallStack[L].PendingReturns);
-
-  for (auto &[LoopId, Inv] : W.Iter.PendingInvariants)
-    noteLoopInvariant(LoopId, Inv);
-  W.Iter.PendingInvariants.clear();
 }
 
-Iterator::Disjunction Iterator::runPartitioned(
-    Disjunction D,
-    const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn) {
+Iterator::Disjunction Iterator::runPartitioned(const Stmt *S, Disjunction D) {
+  auto Run = [S](Iterator &It, AbstractEnv E, Disjunction &Out) {
+    It.T.checkCond(E, S->Cond);
+    It.execIf(S, std::move(E), Out);
+  };
   const size_t N = D.size();
-  if (!Scheduler::wouldFanOut(N)) {
+  if (!Scheduler::wouldFanOut(N) || !isStraightLine(S)) {
     // Every partition inline, in partition order.
     Disjunction Out;
-    for (AbstractEnv &E : D) {
-      Disjunction R = Fn(*this, std::move(E));
-      for (AbstractEnv &X : R)
-        Out.push_back(std::move(X));
-    }
+    for (AbstractEnv &E : D)
+      Run(*this, std::move(E), Out);
     return Out;
   }
 
   Stats.add("parallel.partitions.dispatched", N);
-  if (N > MaxDispatchWidth)
-    MaxDispatchWidth = N;
+  Stats.max("parallel.partitions.max_width", N);
 
   // Each partition gets its own worker context, built inside the task so
   // the clone cost parallelizes too. Workers read the master only through
@@ -279,12 +250,12 @@ Iterator::Disjunction Iterator::runPartitioned(
   std::vector<std::unique_ptr<PartitionWorker>> Workers(N);
   Scheduler::runGroups(N, [&](size_t I) {
     auto W = std::make_unique<PartitionWorker>(*this);
-    W->Out = Fn(W->Iter, std::move(D[I]));
+    Run(W->Iter, std::move(D[I]), W->Out);
     Workers[I] = std::move(W);
   });
 
-  // Deterministic merge: every worker's buffered effects and result
-  // environments, in canonical partition order.
+  // Deterministic merge: every worker's alarms, pack-usefulness flags and
+  // result environments, in canonical partition order.
   Disjunction Out;
   for (size_t I = 0; I < N; ++I) {
     // A skipped slot can only mean the task threw; runGroups rethrows
@@ -333,13 +304,7 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     return D;
   }
   case StmtKind::If: {
-    Disjunction Out =
-        runPartitioned(std::move(D), [S](Iterator &W, AbstractEnv E) {
-          Disjunction R;
-          W.T.checkCond(E, S->Cond);
-          W.execIf(S, std::move(E), R);
-          return R;
-        });
+    Disjunction Out = runPartitioned(S, std::move(D));
     capPartitions(Out);
     return Out;
   }
@@ -362,11 +327,6 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
   case StmtKind::Return: {
     assert(!CallStack.empty() && "return outside of any call");
     CallCtx &C = CallStack.back();
-    if (C.CollectOnly) {
-      for (AbstractEnv &E : D)
-        C.PendingReturns.push_back(std::move(E));
-      return {};
-    }
     AbstractEnv Acc = std::move(C.ReturnAcc);
     for (AbstractEnv &E : D) {
       T.preJoinReduce(Acc, E);
@@ -378,11 +338,6 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
   case StmtKind::Break: {
     assert(!LoopStack.empty() && "break outside of any loop");
     LoopCtx &C = LoopStack.back();
-    if (C.CollectOnly) {
-      for (AbstractEnv &E : D)
-        C.PendingBreaks.push_back(std::move(E));
-      return {};
-    }
     AbstractEnv Acc = std::move(C.BreakAcc);
     for (AbstractEnv &E : D) {
       T.preJoinReduce(Acc, E);
@@ -394,11 +349,6 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
   case StmtKind::Continue: {
     assert(!LoopStack.empty() && "continue outside of any loop");
     LoopCtx &C = LoopStack.back();
-    if (C.CollectOnly) {
-      for (AbstractEnv &E : D)
-        C.PendingContinues.push_back(std::move(E));
-      return {};
-    }
     AbstractEnv Acc = std::move(C.ContinueAcc);
     for (AbstractEnv &E : D) {
       T.preJoinReduce(Acc, E);
@@ -493,7 +443,7 @@ AbstractEnv Iterator::execWhile(const Stmt *S, AbstractEnv Env) {
   LoopStack.push_back(LoopCtx{});
 
   // Loop unrolling (7.1.1): peel the first n iterations.
-  unsigned N = unrollFactor(S->LoopId);
+  unsigned N = Opts.DefaultUnroll;
   std::vector<AbstractEnv> Exits;
   AbstractEnv E = std::move(Env);
   for (unsigned K = 0; K < N && !E.isBottom(); ++K) {
@@ -524,7 +474,7 @@ AbstractEnv Iterator::execWhile(const Stmt *S, AbstractEnv Env) {
       (void)execLoopBody(S, std::move(In));
     Exits.push_back(std::move(LoopStack.back().BreakAcc));
 
-    noteLoopInvariant(S->LoopId, Invariant);
+    recordLoopInvariant(S->LoopId, Invariant);
     Exits.push_back(T.guard(std::move(Invariant), S->Cond, false));
   }
 

@@ -53,11 +53,6 @@ public:
   Transfer &transfer() { return T; }
   const Thresholds &thresholds() const { return Thr; }
 
-  /// Widest disjunction the trace-partition dispatch actually fanned out
-  /// over the scheduler (0 when every loop ran inline) — the
-  /// `parallel.partitions.max_width` census of AnalysisSession.
-  size_t maxPartitionDispatchWidth() const { return MaxDispatchWidth; }
-
 private:
   /// Trace partitions: a disjunction of environments (Sect. 7.1.5). Size 1
   /// unless inside a partitioned function.
@@ -75,37 +70,30 @@ private:
   /// The F-hat inflation of Sect. 7.1.4.
   AbstractEnv perturb(AbstractEnv Env) const;
   AbstractEnv joinAll(Disjunction D);
-  unsigned unrollFactor(uint32_t LoopId) const;
 
   // -- Trace-partition dispatch -------------------------------------------
   /// One partition worker's context: a private alarm buffer and a
-  /// sub-Iterator clone whose shared stack levels only collect.
+  /// sub-Iterator clone.
   struct PartitionWorker;
 
   /// Worker clone: shares the immutable inputs and the thread-safe
-  /// Statistics, buffers alarms in \p WorkerAlarms, and marks every stack
-  /// level inherited from \p Parent collect-only so break/continue/return
-  /// environments crossing into shared levels are buffered instead of
-  /// folded — the master replays them in canonical partition order.
+  /// Statistics and buffers alarms in \p WorkerAlarms. It starts with empty
+  /// loop and call stacks: it only runs straight-line `if` regions, which
+  /// never reach a loop, a call or a jump.
   Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms);
 
-  /// Runs \p Fn over every environment of \p D — execStmt's If fan-out —
-  /// fanning the partitions out over the ambient Scheduler when it has
-  /// workers, inline in partition order otherwise. The per-partition result
-  /// disjunctions are concatenated in partition order, and every worker
-  /// side effect (alarms, accumulator folds, loop invariants, pack-usefulness
-  /// flags) is replayed in the exact sequential operation sequence, so the
-  /// parallel path is byte-identical to the inline loop.
-  Disjunction
-  runPartitioned(Disjunction D,
-                 const std::function<Disjunction(Iterator &, AbstractEnv)> &Fn);
+  /// Runs the `if` statement \p S over every environment of \p D —
+  /// execStmt's If case. The partitions fan out over the ambient Scheduler
+  /// when it has workers and \p S is a straight-line region (no loop, call
+  /// or jump in either branch); otherwise they run inline, in partition
+  /// order. The per-partition results are concatenated in partition order,
+  /// and each worker's alarms and pack-usefulness flags merge in partition
+  /// order, so the parallel path is byte-identical to the inline loop.
+  Disjunction runPartitioned(const ir::Stmt *S, Disjunction D);
 
-  /// Replays one worker's buffered effects onto this (master) iterator.
+  /// Merges one worker's alarms and pack-usefulness flags into this
+  /// (master) iterator.
   void mergeWorker(PartitionWorker &W);
-
-  /// Folds \p Pending into \p Acc with the canonical reduce-then-join
-  /// sequence, clearing \p Pending.
-  void foldPending(AbstractEnv &Acc, std::vector<AbstractEnv> &Pending);
 
   /// Caps \p Out at Opts.MaxPartitions by joining only the *overflow* into
   /// the last kept slot (deterministic order) — not the whole disjunction.
@@ -116,10 +104,6 @@ private:
   /// sibling contexts).
   void recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
 
-  /// Surfaces a loop invariant: buffered in PendingInvariants on a
-  /// partition worker (collect mode), folded into LoopInvariants otherwise.
-  void noteLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
-
   const ir::Program &P;
   const memory::CellLayout &Layout;
   const DomainRegistry &Reg;
@@ -129,23 +113,16 @@ private:
   Thresholds Thr;
   Transfer T;
 
-  /// Per-level iteration context. Levels a partition worker inherits from
-  /// its parent are CollectOnly: the accumulators belong to the master, so
-  /// environments reaching them are buffered in the Pending lists (in
-  /// subtree order) for the master's in-partition-order replay. Levels the
-  /// worker pushes itself are private and fold as usual.
+  /// Per-level iteration context: the break/continue and return
+  /// accumulators of the enclosing loops and calls.
   struct LoopCtx {
     AbstractEnv BreakAcc = AbstractEnv::bottom();
     AbstractEnv ContinueAcc = AbstractEnv::bottom();
-    bool CollectOnly = false;
-    std::vector<AbstractEnv> PendingBreaks, PendingContinues;
   };
   std::vector<LoopCtx> LoopStack;
 
   struct CallCtx {
     AbstractEnv ReturnAcc = AbstractEnv::bottom();
-    bool CollectOnly = false;
-    std::vector<AbstractEnv> PendingReturns;
   };
   std::vector<CallCtx> CallStack;
 
@@ -154,13 +131,6 @@ private:
   std::map<uint32_t, AbstractEnv> LoopInvariants;
   /// Cells of each function's non-parameter locals (havocked at entry).
   std::vector<std::vector<CellId>> FuncLocalCells;
-
-  /// True on partition-worker clones: loop invariants are buffered in
-  /// PendingInvariants (in subtree order) instead of folded into the map.
-  bool CollectMode = false;
-  std::vector<std::pair<uint32_t, AbstractEnv>> PendingInvariants;
-  /// Widest disjunction actually fanned out (master-thread only).
-  size_t MaxDispatchWidth = 0;
 };
 
 } // namespace astral

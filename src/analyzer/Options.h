@@ -42,23 +42,28 @@ struct AnalyzerOptions {
                                    ///< expression rewrite, not a domain.
 
   // -- Widening / iteration strategy (Sect. 5.5, 7.1) -----------------------
+  // The static constants are the paper's parameters that no flag or
+  // directive sets.
   bool WideningWithThresholds = true; ///< Off = plain interval widening.
-  double ThresholdAlpha = 1.0;        ///< T = +/- alpha * lambda^k (7.1.2).
-  double ThresholdLambda = 4.0;
-  unsigned ThresholdCount = 64;
+  /// T = +/- alpha * lambda^k (7.1.2).
+  static constexpr double ThresholdAlpha = 1.0;
+  static constexpr double ThresholdLambda = 4.0;
+  static constexpr unsigned ThresholdCount = 64;
   std::vector<double> ExtraThresholds; ///< End-user supplied values.
-  unsigned DelayedWideningSteps = 2;   ///< N0 union iterations first (7.1.3).
-  bool DelayedWidening = true;         ///< Hold widening for newly-stable
-                                       ///< variables (7.1.3).
-  unsigned DelayedWideningFairness = 8;///< Max consecutive holds (livelock
-                                       ///< fairness condition, 7.1.3).
-  unsigned MaxIterations = 500;        ///< Safety cap (then plain widening).
-  unsigned NarrowingIterations = 2;    ///< Decreasing iterations (5.5).
-  double FloatPerturbation = 1e-6;     ///< epsilon of F-hat (7.1.4).
+  /// N0 union iterations first (7.1.3).
+  static constexpr unsigned DelayedWideningSteps = 2;
+  bool DelayedWidening = true; ///< Hold widening for newly-stable
+                               ///< variables (7.1.3).
+  /// Max consecutive holds (livelock fairness condition, 7.1.3).
+  static constexpr unsigned DelayedWideningFairness = 8;
+  unsigned MaxIterations = 500; ///< Safety cap (then plain widening).
+  /// Decreasing iterations (5.5).
+  static constexpr unsigned NarrowingIterations = 2;
+  /// epsilon of F-hat (7.1.4).
+  static constexpr double FloatPerturbation = 1e-6;
 
   // -- Loop unrolling (7.1.1) ------------------------------------------------
-  unsigned DefaultUnroll = 1;
-  std::map<uint32_t, unsigned> LoopUnroll; ///< Per LoopId override.
+  unsigned DefaultUnroll = 1; ///< Iterations peeled off every loop.
 
   // -- Trace partitioning (7.1.5) --------------------------------------------
   std::set<std::string> PartitionFunctions; ///< End-user selected functions.
@@ -70,7 +75,7 @@ struct AnalyzerOptions {
   // -- Packing (7.2) -----------------------------------------------------------
   unsigned MaxOctPackSize = 8;
   unsigned MaxBoolsPerTreePack = 3; ///< The 7.2.3 sweet spot.
-  unsigned MaxNumsPerTreePack = 4;
+  static constexpr unsigned MaxNumsPerTreePack = 4;
   /// When non-empty, only these octagon pack ids are instantiated (the
   /// Sect. 7.2.2 optimization: reuse the useful-pack list of a previous run).
   std::set<uint32_t> RestrictOctPacks;
@@ -87,8 +92,9 @@ struct AnalyzerOptions {
 
   // -- Execution policy ---------------------------------------------------------
   /// Worker threads for AnalysisSession::analyzeBatch, for the
-  /// trace-partition fan-out of `If` statements inside `@astral partition`
-  /// functions, and for the interference rounds of threaded programs
+  /// trace-partition fan-out of straight-line `If` statements (no loop,
+  /// call or jump in either branch) inside `@astral partition` functions,
+  /// and for the interference rounds of threaded programs
   /// (Monniaux's parallel Astrée direction). 1 = sequential (default);
   /// 0 = one per hardware thread (std::thread::hardware_concurrency,
   /// resolved by Scheduler::effectiveJobs). Requests above the hardware

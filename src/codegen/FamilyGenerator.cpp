@@ -42,6 +42,8 @@ struct Builder {
   std::string Funcs;
   std::string LoopBody;
   std::string InitBody;
+  /// Lines written to the four parts so far.
+  unsigned Lines = 0;
   unsigned Counter = 0;
 
   explicit Builder(const GeneratorConfig &C) : Config(C), R(C.Seed) {}
@@ -53,6 +55,7 @@ struct Builder {
   void line(std::string &Dst, const std::string &S) {
     Dst += S;
     Dst += '\n';
+    ++Lines;
   }
 
   void volatileInput(const std::string &Name, const char *Ty, double Lo,
@@ -303,14 +306,6 @@ struct Builder {
     call(F);
   }
 
-  unsigned approxLines() const {
-    return static_cast<unsigned>(
-        std::count(Decls.begin(), Decls.end(), '\n') +
-        std::count(Funcs.begin(), Funcs.end(), '\n') +
-        std::count(LoopBody.begin(), LoopBody.end(), '\n') +
-        std::count(InitBody.begin(), InitBody.end(), '\n') + 24);
-  }
-
   FamilyProgram build() {
     line(Decls, "/* Generated member of the periodic synchronous program");
     line(Decls, "   family (seed " + std::to_string(Config.Seed) + "). */");
@@ -320,7 +315,7 @@ struct Builder {
       emitInjectedBug();
       ++Out.ModuleCount;
     }
-    while (approxLines() < Config.TargetLines) {
+    while (Lines + 24 < Config.TargetLines) {
       ++Counter;
       switch (R.pick(10)) {
       case 0: emitCounter(); break;

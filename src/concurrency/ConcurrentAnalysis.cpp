@@ -35,7 +35,6 @@ struct ThreadRun {
   AbstractEnv Final = AbstractEnv::bottom();
   std::map<uint32_t, AbstractEnv> Invariants;
   std::vector<std::vector<uint8_t>> RelImproved;
-  size_t MaxWidth = 0;
   ThreadInterference Recorded;
 };
 
@@ -87,7 +86,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
   AbstractEnv E0 = Startup.run();
   R.LoopInvariants = Startup.loopInvariants();
   R.RelPackImproved = Startup.transfer().RelPackImproved;
-  R.MaxPartitionWidth = Startup.maxPartitionDispatchWidth();
 
   // Relational packs are thread-local under interference semantics; sever
   // the startup state's facts about shared cells so no stale relation
@@ -128,7 +126,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
       TR.Final = It.runThread(Threads[T].Fn, E0);
       TR.Invariants = It.loopInvariants();
       TR.RelImproved = It.transfer().RelPackImproved;
-      TR.MaxWidth = It.maxPartitionDispatchWidth();
       TR.Recorded = Rec.take();
     });
     if (FannedOut)
@@ -250,9 +247,6 @@ ConcurrentResult ConcurrentAnalysis::run() {
     for (size_t D = 0; D < R.RelPackImproved.size(); ++D)
       for (size_t Pk = 0; Pk < R.RelPackImproved[D].size(); ++Pk)
         R.RelPackImproved[D][Pk] |= FinalRuns[T].RelImproved[D][Pk];
-
-  for (size_t T = 0; T < N; ++T)
-    R.MaxPartitionWidth = std::max(R.MaxPartitionWidth, FinalRuns[T].MaxWidth);
 
   return R;
 }

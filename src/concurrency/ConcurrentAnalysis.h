@@ -70,7 +70,6 @@ struct ConcurrentResult {
   /// True when the round cap fired before the map stabilized (never on sane
   /// inputs; surfaced as `concurrency.rounds_capped`).
   bool Capped = false;
-  size_t MaxPartitionWidth = 0;
 };
 
 class ConcurrentAnalysis {

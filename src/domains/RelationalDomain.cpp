@@ -82,10 +82,6 @@ DomainState::Ptr DomainState::guardBool(CellId, bool,
   return nullptr;
 }
 
-DomainState::Ptr DomainState::refineIn(const ReductionChannel &) const {
-  return nullptr;
-}
-
 DomainState::Ptr DomainState::preJoinWith(const DomainState &,
                                           const DomainEvalContext &) const {
   return nullptr;

@@ -16,9 +16,9 @@
 ///  - DomainKind / DomainSet: the identity of each abstract domain and the
 ///    enabled subset ("--domains=interval,clocked,octagon,tree,ellipsoid").
 ///  - ReductionChannel: per-cell interval facts a domain publishes
-///    (refineOut) or consumes (refineIn), so domains exchange reductions
-///    without knowing each other's types — the paper's partial-reduction
-///    mechanism between the interval environment and the relational packs.
+///    (refineOut), so domains exchange reductions without knowing each
+///    other's types — the paper's partial-reduction mechanism between the
+///    interval environment and the relational packs.
 ///  - DomainState: one immutable abstract value of one domain for one pack,
 ///    with the common lattice (join/widen/narrow/leq/equal) and transfer
 ///    (assignCell/guard/forget) signature. Binary operations return null to
@@ -121,7 +121,7 @@ private:
 /// domain publishes the interval consequences of its own constraints
 /// (refineOut) — e.g. an octagon publishes the unary bounds implied by its
 /// closed DBM — and the iterator meets them into the cell environment, from
-/// where every other domain can pick them up (refineIn). Facts are applied
+/// where every other domain reads them (DomainEvalContext). Facts are applied
 /// in publication order. markBottom() signals that the publishing domain
 /// proved the state unreachable. Domains may also attach statistics notes so
 /// counting stays inside the domain implementation.
@@ -273,9 +273,6 @@ public:
   /// Publishes the per-cell interval facts implied by this state (the
   /// octagon -> interval and tree-leaf -> interval reductions).
   virtual void refineOut(ReductionChannel &Out) const = 0;
-  /// Tightens this state from peer-published interval facts. Default: no
-  /// refinement.
-  virtual Ptr refineIn(const ReductionChannel &In) const;
   /// The paper's pre-union reduction ("before computing the union between
   /// two abstract elements"): refine from a sibling state of the same pack
   /// plus the local interval information. Default: none.

@@ -167,42 +167,6 @@ bool AbstractEnv::leq(const AbstractEnv &A, const AbstractEnv &B) {
   return Ok;
 }
 
-bool AbstractEnv::leqPerturbed(const AbstractEnv &A, const AbstractEnv &B,
-                               double Eps) {
-  if (A.IsBottom)
-    return true;
-  if (B.IsBottom)
-    return false;
-  if (!A.ClockItv.leq(B.ClockItv))
-    return false;
-  bool Ok = true;
-  auto Relaxed = [Eps](const Interval &X, const Interval &Y) {
-    if (X.isBottom())
-      return true;
-    if (Y.isBottom())
-      return false;
-    double LoSlack = Eps * std::fabs(Y.Lo);
-    double HiSlack = Eps * std::fabs(Y.Hi);
-    return X.Lo >= Y.Lo - LoSlack && X.Hi <= Y.Hi + HiSlack;
-  };
-  PersistentMap<ScalarAbs>::forEachDiff(
-      A.Cells, B.Cells, [&](CellId, const ScalarAbs *X, const ScalarAbs *Y) {
-        if (!Ok || !X || !Y)
-          return;
-        if (!Relaxed(X->Itv, Y->Itv) || !X->Clk.leq(Y->Clk))
-          Ok = false;
-      });
-  if (!Ok)
-    return false;
-  // Relational components use the exact check (their bounds are stable once
-  // the intervals are).
-  AbstractEnv ACells = A, BCells = B;
-  ACells.Cells = PersistentMap<ScalarAbs>();
-  BCells.Cells = PersistentMap<ScalarAbs>();
-  ACells.ClockItv = BCells.ClockItv = Interval::point(0);
-  return leq(ACells, BCells);
-}
-
 bool AbstractEnv::equal(const AbstractEnv &A, const AbstractEnv &B) {
   if (A.IsBottom != B.IsBottom)
     return false;

@@ -135,11 +135,6 @@ public:
   static bool leq(const AbstractEnv &A, const AbstractEnv &B);
   static bool equal(const AbstractEnv &A, const AbstractEnv &B);
 
-  /// Widening stabilization with the float iteration perturbation of
-  /// Sect. 7.1.4: bounds of B are allowed to exceed A by Eps * |bound|.
-  static bool leqPerturbed(const AbstractEnv &A, const AbstractEnv &B,
-                           double Eps);
-
   /// Cells whose abstraction differs between A and B (for the delayed
   /// widening bookkeeping of Sect. 7.1.3).
   static void forEachChangedCell(

@@ -15,15 +15,16 @@
 ///
 /// Accumulation is thread-safe: scheduler tasks (partition workers, thread
 /// runs of the interference rounds) bump counters concurrently. Because every
-/// mutation is a commutative add (or an idempotent set outside the parallel
-/// phases), totals are independent of task interleaving — a requirement of
-/// the `--jobs=N` determinism guarantee.
+/// mutation is a commutative add or max (or an idempotent set outside the
+/// parallel phases), totals are independent of task interleaving — a
+/// requirement of the `--jobs=N` determinism guarantee.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ASTRAL_SUPPORT_STATISTICS_H
 #define ASTRAL_SUPPORT_STATISTICS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -52,6 +53,12 @@ public:
   void set(const std::string &Name, uint64_t Value) {
     std::lock_guard<std::mutex> L(Mu);
     Counters[Name] = Value;
+  }
+  /// Raises \p Name to \p Value when that is higher: a high-water mark.
+  void max(const std::string &Name, uint64_t Value) {
+    std::lock_guard<std::mutex> L(Mu);
+    uint64_t &C = Counters[Name];
+    C = std::max(C, Value);
   }
   uint64_t get(const std::string &Name) const {
     std::lock_guard<std::mutex> L(Mu);

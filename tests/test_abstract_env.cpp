@@ -153,14 +153,6 @@ TEST(AbstractEnv, EllipsoidJoinKeepsCommonPairs) {
   EXPECT_TRUE(std::isinf(EJ->value().get(3, 4))); // Missing on one side.
 }
 
-TEST(AbstractEnv, PerturbedLeqAcceptsEpsilon) {
-  AbstractEnv A = envWithCells({{0, Interval(0, 1.0000001)}});
-  AbstractEnv B = envWithCells({{0, Interval(0, 1.0)}});
-  EXPECT_FALSE(AbstractEnv::leq(A, B));
-  EXPECT_TRUE(AbstractEnv::leqPerturbed(A, B, 1e-5));
-  EXPECT_FALSE(AbstractEnv::leqPerturbed(A, B, 1e-9));
-}
-
 TEST(AbstractEnv, ChangedCellsDetected) {
   AbstractEnv A = envWithCells(
       {{0, Interval(0, 1)}, {1, Interval(2, 3)}, {2, Interval(4, 5)}});

@@ -97,8 +97,7 @@ DomainState::Ptr widenOf(const DomainState::Ptr &A, const DomainState::Ptr &B,
 }
 
 /// Sample states of one registered domain's first pack: top, bottom, and
-/// two distinct non-trivial values, built through the uniform signature
-/// (refineIn for the numeric domains, guardBool for trees).
+/// two distinct non-trivial values (guardBool and refineNum for trees).
 std::vector<DomainState::Ptr> sampleStates(const RelationalDomain &Dom) {
   EXPECT_GT(Dom.numPacks(), 0u) << Dom.name();
   DomainState::Ptr Top = Dom.topFor(0);
@@ -131,10 +130,9 @@ std::vector<DomainState::Ptr> sampleStates(const RelationalDomain &Dom) {
         S.push_back(G);
     }
     if (!T.numCells().empty()) {
-      ReductionChannel In;
-      In.publish(T.numCells()[0], Interval(0, 7));
-      if (DomainState::Ptr R = Top->refineIn(In))
-        S.push_back(R);
+      DecisionTree R = T;
+      R.refineNum(0, std::vector<Interval>(R.leafCount(), Interval(0, 7)));
+      S.push_back(std::make_shared<DecisionTreeState>(R));
     }
     break;
   }
@@ -326,20 +324,6 @@ TEST(ReductionChannel, BottomOctagonMarksChannelBottom) {
   ReductionChannel Ch;
   S.refineOut(Ch);
   EXPECT_TRUE(Ch.isBottom());
-}
-
-TEST(ReductionChannel, OctagonRefineInMeetsFacts) {
-  Octagon O(std::vector<CellId>{7, 8});
-  OctagonState Top(O);
-  ReductionChannel In;
-  In.publish(7, Interval(1, 4));
-  In.publish(42, Interval(0, 0)); // Foreign cell: ignored.
-  DomainState::Ptr R = Top.refineIn(In);
-  ASSERT_NE(R, nullptr);
-  Octagon RC(static_cast<const OctagonState &>(*R).value());
-  RC.close();
-  EXPECT_EQ(RC.varInterval(0), Interval(1, 4));
-  EXPECT_TRUE(RC.varInterval(1).isTop());
 }
 
 TEST(ReductionChannel, TreeRefineOutPublishesNumJoins) {

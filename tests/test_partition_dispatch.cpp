@@ -10,15 +10,18 @@
 //     functions and on randomized call trees whose call sites see the
 //     partition disjunction (value and reference parameters, callees
 //     inlined once per environment, prototype havoc past MaxCallDepth).
-//   - Only If statements hand partitions to the pool; assignments update
-//     each partition in place.
+//   - Only straight-line If statements hand partitions to the pool: an If
+//     whose branches reach a loop, a call, a return, a break or a continue
+//     runs its partitions inline, and assignments update each partition in
+//     place.
 //   - The MaxPartitions cap joins only the *overflow* (one partition past
 //     the cap costs one join, not the whole disjunction).
 //   - partitioning.delayed_merges is width-accurate and its accumulation
 //     is race-free under partition workers (run under TSan in CI).
-//   - Loop invariants recorded inside partition workers replay onto the
-//     master map deterministically, through the same reduce-then-join the
-//     sequential path uses.
+//   - Loop invariants recorded inside partitioned functions match the
+//     sequential map at every --jobs value: partition workers never run a
+//     loop, so the master records each one through the same
+//     reduce-then-join the sequential path uses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,20 +66,23 @@ void expectMatrixIdentical(
     const std::string &Src,
     const std::function<void(AnalyzerOptions &)> &Tweak = nullptr) {
   auto Run = [&](unsigned Jobs) {
-    return fingerprint(analyzeSource(Src, [&](AnalyzerOptions &O) {
+    AnalysisResult R = analyzeSource(Src, [&](AnalyzerOptions &O) {
       if (Tweak)
         Tweak(O);
       O.Jobs = Jobs;
-    }));
+    });
+    // Two failed frontends would compare equal and prove nothing.
+    EXPECT_TRUE(R.FrontendOk) << R.FrontendErrors;
+    return fingerprint(R);
   };
   std::string Base = Run(1);
   for (unsigned Jobs : {2u, 8u})
     EXPECT_EQ(Run(Jobs), Base) << "jobs=" << Jobs;
 }
 
-/// The partitioned_switch shape plus everything the worker contexts must
-/// buffer: a loop with break/continue crossing back into the caller's
-/// iteration context, an early return, an alarm inside the partitioned
+/// The partitioned_switch shape plus the control flow that keeps partitions
+/// inline — a loop with break/continue, an early return, a call — beside
+/// straight-line branches that fan out, an alarm inside the partitioned
 /// subtree, and a nested partitioned callee.
 const char *PartitionedControlSrc =
     "volatile int mode; volatile float meas;\n"
@@ -127,8 +133,7 @@ void partitionedControlTweak(AnalyzerOptions &O) {
 /// taking value AND reference parameters, called from the width-2 mode
 /// disjunction: the helper is inlined once per partition, and its own
 /// branches fan out over partition workers at --jobs above 1. The alarm
-/// inside the callee and the loop invariant in the caller exercise the
-/// worker effect replay.
+/// inside the callee exercises the in-order merge of the workers' alarms.
 const char *PartitionedHelperSrc =
     "volatile int mode; volatile float meas;\n"
     "float out; float acc;\n"
@@ -196,45 +201,83 @@ TEST(PartitionDispatch, DispatchActuallyFansOut) {
   EXPECT_EQ(S.Stats.get("parallel.partitions.max_width"), 0u);
 }
 
-TEST(PartitionDispatch, OnlyIfStatementsFanOut) {
+TEST(PartitionDispatch, OnlyStraightLineIfsFanOut) {
   // A partitioned function that splits on `mode`, then runs `Tail` at
-  // partition width 2. Assignments update each partition in place; only
-  // an If hands the partitions to the pool.
-  auto Run = [](const std::string &Tail) {
-    std::string Src = "volatile int mode; volatile float meas;\n"
-                      "float out; float g;\n"
-                      "void step(void) {\n"
-                      "  float m;\n"
-                      "  m = meas;\n"
-                      "  if (mode == 0) { g = 2.0f; } else { g = 8.0f; }\n" +
-                      Tail +
-                      "}\n"
-                      "int main(void) {\n"
-                      "  while (1) {\n"
-                      "    step();\n"
-                      "    __astral_wait();\n"
-                      "  }\n"
-                      "  return 0;\n"
-                      "}\n";
-    return analyzeSource(Src, [](AnalyzerOptions &O) {
-      O.PartitionFunctions.insert("step");
-      O.VolatileRanges["mode"] = Interval(0, 1);
-      O.VolatileRanges["meas"] = Interval(-50, 50);
-      O.Jobs = 2;
-    });
+  // partition width 2. Assignments update each partition in place, and an
+  // `if` whose branches reach a return, a call, a loop, a break or a
+  // continue runs its partitions inline, in partition order: only a
+  // straight-line `if` hands the partitions to the pool. Either way the
+  // report is the --jobs=1 report.
+  auto Src = [](const std::string &Tail) {
+    return "volatile int mode; volatile float meas;\n"
+           "float out; float g;\n"
+           "void bump(void) { out = 1.0f; }\n"
+           "void step(void) {\n"
+           "  float m; int i;\n"
+           "  m = meas;\n"
+           "  i = 0;\n"
+           "  if (mode == 0) { g = 2.0f; } else { g = 8.0f; }\n" +
+           Tail +
+           "}\n"
+           "int main(void) {\n"
+           "  out = 0.0f;\n"
+           "  while (1) {\n"
+           "    step();\n"
+           "    __astral_wait();\n"
+           "  }\n"
+           "  return 0;\n"
+           "}\n";
+  };
+  auto Tweak = [](AnalyzerOptions &O) {
+    O.PartitionFunctions.insert("step");
+    O.VolatileRanges["mode"] = Interval(0, 1);
+    O.VolatileRanges["meas"] = Interval(-50, 50);
+    // Plain widening keeps the loop tails' fixpoints to a few iterations.
+    O.WideningWithThresholds = false;
   };
 
-  AnalysisResult Assigns = Run("  m = m * g;\n"
-                               "  out = m + 1.0f;\n");
-  ASSERT_TRUE(Assigns.FrontendOk);
-  EXPECT_GT(Assigns.Stats.get("partitioning.delayed_merges"), 0u);
-  EXPECT_EQ(Assigns.Stats.get("parallel.partitions.dispatched"), 0u);
+  // In the loop tails the mode split is repeated inside the body, so the
+  // `if` holding the jump sees two partitions.
+  const char *Inline[] = {
+      "  m = m * g;\n"
+      "  out = m + 1.0f;\n",
+      "  if (m > 10.0f) { return; }\n"
+      "  out = m;\n",
+      "  if (m > 10.0f) { bump(); }\n",
+      "  if (m > 10.0f) { while (i < 3) { i = i + 1; } }\n",
+      "  while (i < 3) {\n"
+      "    i = i + 1;\n"
+      "    if (mode == 0) { g = 2.0f; } else { g = 8.0f; }\n"
+      "    if (m > g) { break; }\n"
+      "  }\n",
+      "  while (i < 3) {\n"
+      "    i = i + 1;\n"
+      "    if (mode == 0) { g = 2.0f; } else { g = 8.0f; }\n"
+      "    if (m > g) { continue; }\n"
+      "    m = m - 1.0f;\n"
+      "  }\n",
+  };
+  const char *Straight = "  m = m * g;\n"
+                         "  if (m > 10.0f) { out = 10.0f; }\n";
+  for (const char *Tail : Inline) {
+    AnalysisResult R = analyzeSource(Src(Tail), [&](AnalyzerOptions &O) {
+      Tweak(O);
+      O.Jobs = 2;
+    });
+    ASSERT_TRUE(R.FrontendOk) << Tail;
+    EXPECT_GT(R.Stats.get("partitioning.delayed_merges"), 0u) << Tail;
+    EXPECT_EQ(R.Stats.get("parallel.partitions.dispatched"), 0u) << Tail;
+    expectMatrixIdentical(Src(Tail), Tweak);
+  }
 
-  AnalysisResult Branch = Run("  m = m * g;\n"
-                              "  if (m > 10.0f) { out = 10.0f; }\n");
-  ASSERT_TRUE(Branch.FrontendOk);
-  EXPECT_GT(Branch.Stats.get("parallel.partitions.dispatched"), 0u);
-  EXPECT_EQ(Branch.Stats.get("parallel.partitions.max_width"), 2u);
+  AnalysisResult R = analyzeSource(Src(Straight), [&](AnalyzerOptions &O) {
+    Tweak(O);
+    O.Jobs = 2;
+  });
+  ASSERT_TRUE(R.FrontendOk);
+  EXPECT_GT(R.Stats.get("parallel.partitions.dispatched"), 0u);
+  EXPECT_EQ(R.Stats.get("parallel.partitions.max_width"), 2u);
+  expectMatrixIdentical(Src(Straight), Tweak);
 }
 
 TEST(PartitionDispatch, PartitionedHelperMatchesSequentialBitwise) {
@@ -270,6 +313,9 @@ TEST(PartitionDispatch, RandomizedNestedPartitionedFunctions) {
     std::ostringstream Src;
     Src << "volatile int sel; volatile float in;\n"
         << "float y; float z;\n";
+    // Each function calls the next one, defined after it.
+    for (unsigned L = 0; L < Depth; ++L)
+      Src << "float f" << L << "(void);\n";
     for (unsigned L = 0; L < Depth; ++L) {
       unsigned Ifs = 1 + Rng() % 3;
       Src << "float f" << L << "(void) {\n  float t; float u;\n"
@@ -299,6 +345,8 @@ TEST(PartitionDispatch, RandomizedNestedPartitionedFunctions) {
         O.PartitionFunctions.insert("f" + std::to_string(L));
       O.VolatileRanges["sel"] = Interval(0, 4);
       O.VolatileRanges["in"] = Interval(-30, 30);
+      // Plain widening keeps the loops' fixpoints to a few iterations.
+      O.WideningWithThresholds = false;
     });
   }
 }
@@ -316,16 +364,19 @@ TEST(PartitionDispatch, RandomizedCallTreesMatchSequentialBitwise) {
     std::ostringstream Src;
     Src << "volatile int sel; volatile float in;\n"
         << "float y; float z;\n";
+    // Leaf takes a reference parameter it writes through; inner levels
+    // pass the global accumulator down by address. Each function calls the
+    // next one, defined after it.
+    auto Signature = [Depth](unsigned L) {
+      return "float f" + std::to_string(L) +
+             (L + 1 == Depth ? "(float s, float *o)" : "(float s)");
+    };
+    for (unsigned L = 0; L < Depth; ++L)
+      Src << Signature(L) << ";\n";
     for (unsigned L = 0; L < Depth; ++L) {
       unsigned Ifs = 1 + Rng() % 3;
-      // Leaf takes a reference parameter it writes through; inner levels
-      // pass the global accumulator down by address.
-      if (L + 1 == Depth)
-        Src << "float f" << L << "(float s, float *o) {\n"
-            << "  float t; float u;\n  t = s;\n";
-      else
-        Src << "float f" << L << "(float s) {\n"
-            << "  float t; float u;\n  t = s;\n";
+      Src << Signature(L) << " {\n"
+          << "  float t; float u;\n  t = s;\n";
       for (unsigned I = 0; I < Ifs; ++I) {
         double Inc = 1.0 + (Rng() % 5);
         Src << "  if (sel > " << (Rng() % 4) << ") { t = t + " << Inc
@@ -355,6 +406,8 @@ TEST(PartitionDispatch, RandomizedCallTreesMatchSequentialBitwise) {
         O.PartitionFunctions.insert("f" + std::to_string(L));
       O.VolatileRanges["sel"] = Interval(0, 4);
       O.VolatileRanges["in"] = Interval(-30, 30);
+      // Plain widening keeps the loops' fixpoints to a few iterations.
+      O.WideningWithThresholds = false;
     });
   }
 }
@@ -507,9 +560,9 @@ std::string invariantsFingerprint(
 
 AnalysisInput invariantInput(unsigned Jobs) {
   // A loop *inside* the partitioned function: its invariant is recorded
-  // once per partition context, by a worker at --jobs above 1 — the replay
-  // path (PendingInvariants) must reproduce the sequential reduce-then-join
-  // fold exactly.
+  // once per partition context. The `if` around it never fans out, so at
+  // every --jobs value the master folds the contexts in the sequential
+  // reduce-then-join order.
   AnalysisInput In;
   In.Source = PartitionedControlSrc;
   In.FileName = "inv.c";

@@ -315,6 +315,7 @@ TEST(OptionTable, MalformedValuesAreRefusedByBothSurfaces) {
       {"unroll", "two", "unroll", "two"},
       {"unroll", "2.5", "unroll", "2.5"},
       {"unroll", "4294967296", "unroll", "4294967296"},
+      {"unroll", "1001", "unroll", "1001"},
       {"jobs", "-1", "jobs", "-1"},
       {"jobs", "many", "jobs", "many"},
       {"jobs", "99999999", "jobs", "99999999"},

@@ -133,13 +133,16 @@ int runOneShot(const std::vector<std::string> &Args) {
 /// ranges, partitioned functions, thresholds, and the benches' 1e6-tick
 /// operating time).
 int runEmitFamily(const std::vector<std::string> &Args) {
+  // Work and output grow linearly with the line count: the top keeps every
+  // accepted request one the generator finishes.
+  constexpr uint64_t MaxLines = 1000000;
   codegen::GeneratorConfig C;
   C.TargetLines = 8000;
   C.Seed = 1234; // The benches' 8-kLOC fig2 member by default.
   std::string Err;
   cli::walkFlags(
       Args,
-      {cli::unsignedFlag("lines", 0, UINT32_MAX,
+      {cli::unsignedFlag("lines", 0, MaxLines,
                          [&](uint64_t N) { C.TargetLines = unsigned(N); }),
        cli::unsignedFlag("seed", 0, UINT64_MAX,
                          [&](uint64_t N) { C.Seed = N; })},
