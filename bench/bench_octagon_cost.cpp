@@ -34,16 +34,14 @@ using namespace astral;
 using namespace astral::benchutil;
 
 namespace {
-std::shared_ptr<OctagonClosureStats> benchStats() {
-  static auto Stats = std::make_shared<OctagonClosureStats>();
-  return Stats;
-}
+/// The micro-benchmarks' closure meter, installed around their run.
+memtrack::Counter BenchMeter;
 
 Octagon makeChainOctagon(int K, OctClosureMode Mode) {
   std::vector<CellId> Cells;
   for (int I = 0; I < K; ++I)
     Cells.push_back(static_cast<CellId>(I));
-  Octagon O(Cells, Mode, benchStats());
+  Octagon O(Cells, Mode);
   auto Top = [](CellId) { return Interval::top(); };
   for (int I = 0; I + 1 < K; ++I) {
     LinearForm F = LinearForm::var(static_cast<CellId>(I))
@@ -118,7 +116,7 @@ void benchIndexOfFlat(benchmark::State &State) {
   std::vector<CellId> Cells;
   for (int I = 0; I < K; ++I)
     Cells.push_back(static_cast<CellId>(7 * I + 3));
-  Octagon O(Cells, OctClosureMode::Incremental, nullptr);
+  Octagon O(Cells, OctClosureMode::Incremental);
   for (auto _ : State) {
     int Acc = 0;
     for (CellId C = 0; C < static_cast<CellId>(7 * K + 4); ++C)
@@ -210,10 +208,14 @@ int main(int argc, char **argv) {
   std::puts("expected: ClosureBySizeFull fits ~N^3, "
             "ClosureBySizeIncremental ~N^2; ManySmallPacks fits ~N.");
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  {
+    memtrack::CounterScope Scope(&BenchMeter);
+    benchmark::RunSpecifiedBenchmarks();
+  }
   std::printf("micro-bench closures performed: full=%llu incremental=%llu\n",
-              static_cast<unsigned long long>(benchStats()->full()),
-              static_cast<unsigned long long>(benchStats()->incremental()));
+              static_cast<unsigned long long>(BenchMeter.closuresFull()),
+              static_cast<unsigned long long>(
+                  BenchMeter.closuresIncremental()));
   hr();
   // The whole-analyzer sweep is the expensive part; ASTRAL_BENCH_OCTCLOSE=0
   // skips it so the nightly workflow's run-everything pass does not repeat

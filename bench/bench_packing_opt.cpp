@@ -46,7 +46,6 @@ int main() {
   std::set<uint32_t> Useful(Full.UsefulOctPacks.begin(),
                             Full.UsefulOctPacks.end());
   AnalysisResult Opt = analyzeFamily(FP, [&](AnalyzerOptions &O) {
-    O.UseRestrictedPacks = true;
     O.RestrictOctPacks = Useful;
   });
 

@@ -23,12 +23,4 @@ cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
 
 echo
-echo "== serve smoke: daemon conformance + cache proof (CI parity) =="
-scripts/serve_smoke.sh build
-
-echo
-echo "== chaos smoke: deadlines, fault injection, budget determinism (CI parity) =="
-scripts/chaos_smoke.sh build
-
-echo
 echo "all checks passed"

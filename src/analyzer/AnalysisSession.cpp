@@ -7,6 +7,7 @@
 
 #include "analyzer/AnalysisSession.h"
 
+#include "analyzer/ExecutionContext.h"
 #include "analyzer/Iterator.h"
 #include "concurrency/ConcurrentAnalysis.h"
 #include "ir/ConstFold.h"
@@ -107,14 +108,17 @@ void fingerprintPacking(const AnalyzerOptions &O, FingerprintWriter &W) {
   W.field("domains", O.Domains.toString());
   W.field("max_oct_pack_size", uint64_t(O.MaxOctPackSize));
   W.field("max_bools_per_tree_pack", uint64_t(O.MaxBoolsPerTreePack));
-  std::string Restrict;
-  for (uint32_t Id : O.RestrictOctPacks) { // std::set: already sorted.
-    if (!Restrict.empty())
-      Restrict += ',';
-    Restrict += std::to_string(Id);
+  // Absent when unrestricted, so "restricted to no pack" (an empty list)
+  // fingerprints differently.
+  if (O.RestrictOctPacks) {
+    std::string Restrict;
+    for (uint32_t Id : *O.RestrictOctPacks) { // std::set: already sorted.
+      if (!Restrict.empty())
+        Restrict += ',';
+      Restrict += std::to_string(Id);
+    }
+    W.field("restrict_oct_packs", Restrict);
   }
-  W.field("restrict_oct_packs", Restrict);
-  W.field("use_restricted_packs", O.UseRestrictedPacks);
 }
 
 void fingerprintExecution(const AnalyzerOptions &O, FingerprintWriter &W) {
@@ -186,14 +190,10 @@ void AnalysisSession::setOptions(const AnalyzerOptions &O) {
   memtrack::CounterScope MemScope(&Mem);
   if (Stale(Phase::Frontend))
     Frontend.reset();
-  if (Stale(Phase::Layout)) {
+  if (Stale(Phase::Layout))
     Layout.reset();
-    AdoptedPacks.reset();
-  }
-  if (Stale(Phase::Packing)) {
+  if (Stale(Phase::Packing))
     Packs.reset();
-    AdoptedPacks.reset();
-  }
   if (Stale(Phase::Execution))
     Exec.reset();
 }
@@ -279,8 +279,10 @@ AnalysisSession::shareLayout() {
   return Layout;
 }
 
-std::shared_ptr<const Packing> AnalysisSession::sharePacking() {
-  return buildPacks().Packs;
+std::shared_ptr<const AnalysisSession::PackingPhase>
+AnalysisSession::sharePacking() {
+  buildPacks();
+  return Packs;
 }
 
 void AnalysisSession::adoptFrontend(std::shared_ptr<const FrontendPhase> F) {
@@ -291,7 +293,7 @@ void AnalysisSession::adoptFrontend(std::shared_ptr<const FrontendPhase> F) {
 }
 
 void AnalysisSession::adoptPacking(std::shared_ptr<const LayoutPhase> L,
-                                   std::shared_ptr<const Packing> P) {
+                                   std::shared_ptr<const PackingPhase> P) {
   if (!Frontend || !Frontend->Ok)
     throw std::logic_error(
         "AnalysisSession::adoptPacking: no frontend artifact to index into");
@@ -299,7 +301,7 @@ void AnalysisSession::adoptPacking(std::shared_ptr<const LayoutPhase> L,
     throw std::logic_error(
         "AnalysisSession::adoptPacking: phases already ran");
   Layout = std::move(L);
-  AdoptedPacks = std::move(P);
+  Packs = std::move(P);
 }
 
 //===----------------------------------------------------------------------===//
@@ -420,15 +422,9 @@ const AnalysisSession::PackingPhase &AnalysisSession::buildPacks() {
   const LayoutPhase &L = layoutCells();
   Timer PhaseTimer;
   PackingPhase P;
-  if (AdoptedPacks) {
-    // Cache hit: the immutable pack tables arrive from a twin content key;
-    // only the per-session registry (closure-stats sink) is rebuilt below.
-    P.Packs = std::move(AdoptedPacks);
-  } else {
-    P.Packs = std::make_shared<const Packing>(
-        Packing::build(*Frontend->Program, *L.Layout, In.Options));
-  }
-  P.Registry = std::make_unique<DomainRegistry>(*P.Packs, In.Options);
+  P.Packs = std::make_unique<const Packing>(
+      Packing::build(*Frontend->Program, *L.Layout, In.Options));
+  P.Registry = std::make_unique<const DomainRegistry>(*P.Packs, In.Options);
   for (size_t D = 0; D < P.Registry->size(); ++D) {
     const RelationalDomain &Dom = P.Registry->domain(D);
     DomainPackStats S;
@@ -442,7 +438,7 @@ const AnalysisSession::PackingPhase &AnalysisSession::buildPacks() {
     P.PackCensus[Dom.kind()] = S;
   }
   P.Seconds = PhaseTimer.seconds();
-  Packs = std::move(P);
+  Packs = std::make_shared<const PackingPhase>(std::move(P));
   return *Packs;
 }
 
@@ -540,12 +536,13 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   const PackingPhase &P = buildPacks();
   ExecutionPhase E;
 
-  // The session's own byte meter is ambient for the whole phase; the
+  // The session's own work meter is ambient for the whole phase; the
   // Scheduler re-installs it on every worker running this session's tasks,
   // so concurrent sessions (batch files, daemon requests) each read their
-  // own high-water mark.
+  // own high-water mark and closure counts — even when they share one
+  // cached registry. Each attempt starts its figures afresh.
   memtrack::CounterScope MemScope(&Mem);
-  Mem.resetPeak();
+  Mem.resetRun();
   AlarmSet Alarms;
 
   // The scheduler is ambient for the whole phase: the Iterator's partition
@@ -556,9 +553,10 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   SchedulerScope Scope(Scheduler::inWorkerTask() ? nullptr
                                                  : schedulerForRun());
   Timer AnalysisTimer;
+  const ExecutionContext Ctx(*Frontend->Program, *Layout->Layout, *P.Registry,
+                             In.Options);
   if (In.Options.Threads.empty()) {
-    Iterator Iter(*Frontend->Program, *Layout->Layout, *P.Registry,
-                  In.Options, E.Stats, Alarms);
+    Iterator Iter(Ctx, E.Stats, Alarms);
     E.Final = Iter.run();
     E.Alarms = Alarms.alarms();
     E.LoopInvariants = Iter.loopInvariants();
@@ -569,8 +567,7 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
     // Per-thread analyses fan out over the same ambient scheduler; every
     // merge is in thread-declaration order, so the report stays
     // byte-identical across --jobs.
-    concurrency::ConcurrentAnalysis CA(*Frontend->Program, *Layout->Layout,
-                                       *P.Registry, In.Options, E.Stats);
+    concurrency::ConcurrentAnalysis CA(Ctx, E.Stats);
     concurrency::ConcurrentResult CR = CA.run();
     E.Final = std::move(CR.Final);
     E.Alarms = CR.Alarms.alarms();
@@ -587,17 +584,10 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   }
   E.AnalysisSeconds = AnalysisTimer.seconds();
   E.PeakAbstractBytes = Mem.peakBytes();
-  // Closure work metering is per-session: the registry hands one counter
-  // sink to every octagon state it creates, so concurrent analyzeBatch
-  // files no longer read each other's closure counts. The legacy total is
-  // kept; the full/incremental split meters the closure discipline itself.
-  const std::shared_ptr<OctagonClosureStats> &OctStats =
-      P.Registry->octagonClosureStats();
-  uint64_t FullSweeps = OctStats ? OctStats->full() : 0;
-  uint64_t IncSweeps = OctStats ? OctStats->incremental() : 0;
-  E.Stats.set("analysis.octagon_closures", FullSweeps + IncSweeps);
-  E.Stats.set("analysis.octagon_closures_full", FullSweeps);
-  E.Stats.set("analysis.octagon_closures_incremental", IncSweeps);
+  // The full/incremental split meters the closure discipline itself.
+  E.Stats.set("analysis.octagon_closures_full", Mem.closuresFull());
+  E.Stats.set("analysis.octagon_closures_incremental",
+              Mem.closuresIncremental());
   return E;
 }
 
@@ -622,10 +612,11 @@ AnalysisResult AnalysisSession::report() {
   R.NumCells = L.NumCells;
   R.ExpandedArrayCells = L.ExpandedArrayCells;
 
-  const PackingPhase &P = buildPacks();
-  R.PackStats = P.PackCensus;
+  R.PackStats = buildPacks().PackCensus;
 
   const ExecutionPhase &E = runAbstractExecution();
+  // The budget ladder may have rebuilt the packing phase: read it afresh.
+  const PackingPhase &P = buildPacks();
   Timer AssemblyTimer; // Every phase timed itself; this times the rest.
   R.Alarms = E.Alarms;
   R.Stats = E.Stats;

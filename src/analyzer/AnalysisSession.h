@@ -25,13 +25,13 @@
 /// execution phase alone.
 ///
 /// Artifact sharing (the service mode's cache seam): the frontend, the cell
-/// layout and the pack tables are immutable once built and are held by
-/// shared_ptr — shareFrontend()/shareLayout()/sharePacking() expose them,
+/// layout and the packing phase (packs, domain registry, census) are
+/// immutable once built and are held by shared_ptr —
+/// shareFrontend()/shareLayout()/sharePacking() expose them,
 /// adoptFrontend()/adoptPacking() seed a fresh session with artifacts from
-/// an earlier one (same content key), skipping those phases entirely. The
-/// mutable per-session state (the DomainRegistry with its closure-stats
-/// sink, the execution artifact) is always rebuilt per session, so
-/// concurrent sessions sharing artifacts never share meters.
+/// an earlier one (same content key), skipping those phases entirely. Only
+/// the execution artifact and the session's work meter are per session,
+/// so concurrent sessions sharing artifacts never share meters.
 ///
 /// Execution policy: AnalyzerOptions::Jobs selects the Scheduler
 /// (Scheduler.h) installed for the abstract-execution phase. The trace
@@ -43,11 +43,11 @@
 /// report layer prints — are byte-identical for every Jobs value: every
 /// worker's effects are merged in partition (or thread-declaration) order.
 /// Work-metering figures are not: the dispatch counters count only what
-/// actually fanned out. Both meter families are per-session — the octagon
-/// closure counters (the DomainRegistry owns the sink) and the peak
-/// abstract bytes (the session owns a memtrack::Counter that the Scheduler
-/// re-installs on every worker running the session's tasks) — so batch
-/// files and concurrent daemon requests meter their own work.
+/// actually fanned out. The octagon closure counts and the peak abstract
+/// bytes come from one per-session meter (a memtrack::Counter that the
+/// Scheduler re-installs on every worker running the session's tasks),
+/// reset at the start of each execution attempt — so batch files,
+/// concurrent daemon requests and re-executions meter their own work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,12 +110,12 @@ public:
     double Seconds = 0.0;
   };
 
-  /// Packing artifact: the packs (immutable, shareable), the registry of
-  /// enabled relational domains over them (per-session: it owns the
-  /// closure-stats sink), and the per-domain pack census.
+  /// Packing artifact: the packs, the stateless registry of enabled
+  /// relational domains over them, and the per-domain pack census.
+  /// Immutable once built; shareable across sessions and threads.
   struct PackingPhase {
-    std::shared_ptr<const Packing> Packs;
-    std::unique_ptr<DomainRegistry> Registry;
+    std::unique_ptr<const Packing> Packs;
+    std::unique_ptr<const DomainRegistry> Registry;
     std::map<DomainKind, DomainPackStats> PackCensus;
     double Seconds = 0.0;
   };
@@ -203,30 +203,30 @@ public:
   /// artifact.
   std::shared_ptr<const FrontendPhase> shareFrontend();
   std::shared_ptr<const LayoutPhase> shareLayout();
-  std::shared_ptr<const Packing> sharePacking();
+  std::shared_ptr<const PackingPhase> sharePacking();
   /// Seeds a fresh session with a frontend artifact produced from the same
   /// frontendCacheKey(); the frontend phase then never runs here. Must be
   /// called before any phase ran.
   void adoptFrontend(std::shared_ptr<const FrontendPhase> F);
-  /// Seeds the layout + pack tables from the same packingCacheKey();
-  /// buildPacks() then only rebuilds the per-session registry. Requires an
-  /// adopted (or already-run) frontend from the same content key — the pack
-  /// tables index into that program's cells.
+  /// Seeds the layout and packing phases from the same packingCacheKey();
+  /// neither phase then runs here. Requires an adopted (or already-run)
+  /// frontend from the same content key — the pack tables index into that
+  /// program's cells.
   void adoptPacking(std::shared_ptr<const LayoutPhase> L,
-                    std::shared_ptr<const Packing> P);
+                    std::shared_ptr<const PackingPhase> P);
 
   /// Artifact-presence observers (the setOptions invalidation matrix is
   /// asserted through these).
   bool hasFrontendArtifact() const { return Frontend != nullptr; }
   bool hasLayoutArtifact() const { return Layout != nullptr; }
-  bool hasPackingArtifact() const { return Packs.has_value(); }
+  bool hasPackingArtifact() const { return Packs != nullptr; }
   bool hasExecutionArtifact() const { return Exec.has_value(); }
 
   /// Analyzes every input, scheduling whole files across one shared pool
   /// sized by the maximum Jobs of the batch. Results are in input order
-  /// and semantically identical to analyzing each file alone. Per-session
-  /// work meters (the octagon closure counters, the peak-abstract-bytes
-  /// figure) stay per-file.
+  /// and semantically identical to analyzing each file alone. The
+  /// per-session work meter (the octagon closure counts, the
+  /// peak-abstract-bytes figure) stays per-file.
   static std::vector<AnalysisResult>
   analyzeBatch(const std::vector<AnalysisInput> &Inputs);
 
@@ -244,10 +244,10 @@ private:
 
   std::shared_ptr<const FrontendPhase> Frontend;
   std::shared_ptr<const LayoutPhase> Layout;
-  std::shared_ptr<const Packing> AdoptedPacks; ///< Consumed by buildPacks().
-  std::optional<PackingPhase> Packs;
+  std::shared_ptr<const PackingPhase> Packs;
   std::optional<ExecutionPhase> Exec;
-  memtrack::Counter Mem; ///< Per-session abstract-state byte meter.
+  /// Per-session work meter: abstract-state bytes and octagon closures.
+  memtrack::Counter Mem;
   std::shared_ptr<cancel::Token> ExternalCancel; ///< Injected, or null.
 };
 

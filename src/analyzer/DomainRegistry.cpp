@@ -721,9 +721,8 @@ std::vector<PackId> sortedUnique(std::vector<PackId> Touched) {
 
 class OctagonDomain final : public RelationalDomain {
 public:
-  OctagonDomain(const Packing &Pk, std::shared_ptr<OctagonClosureStats> Stats)
-      : RelationalDomain(DomainKind::Octagon), Packs(Pk),
-        ClosureStats(std::move(Stats)) {}
+  explicit OctagonDomain(const Packing &Pk)
+      : RelationalDomain(DomainKind::Octagon), Packs(Pk) {}
 
   size_t numPacks() const override { return Packs.OctPacks.size(); }
   const std::vector<PackId> &packsOf(CellId C) const override {
@@ -733,9 +732,7 @@ public:
     return Packs.OctPacks[P].Cells.size();
   }
   DomainState::Ptr topFor(PackId P) const override {
-    return std::make_shared<OctagonState>(
-        Octagon(Packs.OctPacks[P].Cells, OctClosureMode::Incremental,
-                ClosureStats));
+    return std::make_shared<OctagonState>(Octagon(Packs.OctPacks[P].Cells));
   }
 
   std::vector<PackId> planGuard(RelGuard &G,
@@ -784,7 +781,6 @@ public:
 
 private:
   const Packing &Packs;
-  std::shared_ptr<OctagonClosureStats> ClosureStats;
 };
 
 class DecisionTreeDomain final : public RelationalDomain {
@@ -894,10 +890,8 @@ DomainRegistry::DomainRegistry(const Packing &Packs,
   };
   // Registration order is the reduction order (and the paper's presentation
   // order): octagons, decision trees, ellipsoids.
-  if (Opts.domainEnabled(DomainKind::Octagon)) {
-    OctStats = std::make_shared<OctagonClosureStats>();
-    Add(std::make_unique<OctagonDomain>(Packs, OctStats));
-  }
+  if (Opts.domainEnabled(DomainKind::Octagon))
+    Add(std::make_unique<OctagonDomain>(Packs));
   if (Opts.domainEnabled(DomainKind::DecisionTree))
     Add(std::make_unique<DecisionTreeDomain>(Packs));
   if (Opts.domainEnabled(DomainKind::Ellipsoid))

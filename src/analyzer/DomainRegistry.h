@@ -193,6 +193,8 @@ private:
 /// The ordered set of enabled relational-domain adapters. Order is
 /// semantically meaningful (reductions run in registry order) and mirrors
 /// the paper's presentation: octagons, decision trees, ellipsoids.
+/// Immutable once built and stateless beyond the borrowed Packing, so one
+/// registry serves every session that shares the packing artifact.
 class DomainRegistry {
 public:
   DomainRegistry(const Packing &Packs, const AnalyzerOptions &Opts);
@@ -204,17 +206,9 @@ public:
     return Index[static_cast<size_t>(K)];
   }
 
-  /// Per-registry (hence per-session) octagon closure work meter, shared by
-  /// every octagon state the registry creates. Null when the octagon
-  /// domain is not enabled.
-  const std::shared_ptr<OctagonClosureStats> &octagonClosureStats() const {
-    return OctStats;
-  }
-
 private:
   std::vector<std::unique_ptr<RelationalDomain>> Domains;
   std::array<int, NumDomainKinds> Index;
-  std::shared_ptr<OctagonClosureStats> OctStats;
 };
 
 } // namespace astral

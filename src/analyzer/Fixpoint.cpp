@@ -97,7 +97,7 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
                        B->Clk.MinusClk.toString().c_str(),
                        B->Clk.PlusClk.toString().c_str());
       });
-      for (size_t D = 0; D < Reg.size(); ++D)
+      for (size_t D = 0; D < Exec.Reg.size(); ++D)
         Fx.forEachRel(D, [&](memory::PackId Id,
                              const DomainState::Ptr &SF) {
           DomainState::Ptr SX = X.rel(D, Id);
@@ -105,15 +105,17 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
             return;
           if (!SF->leq(*SX))
             std::fprintf(stderr, "  VIOLATION %s#%u\n    X: %s\n    F: %s\n",
-                         Reg.domain(D).name(), Id, SX->toString().c_str(),
+                         Exec.Reg.domain(D).name(), Id,
+                         SX->toString().c_str(),
                          SF->toString().c_str());
         });
     }
 
     // Iterate with the inflated F-hat (7.1.4).
+    // The reduced join refines X in place: the delayed-widening census and
+    // the widening below read the reduced X.
     AbstractEnv FxHat = perturb(std::move(Fx));
-    T.preJoinReduce(X, FxHat);
-    AbstractEnv Target = AbstractEnv::join(X, FxHat);
+    AbstractEnv Target = T.join(X, FxHat);
 
     // Bookkeeping for delayed widening: which cells are still unstable?
     std::set<CellId> UnstableNow;
@@ -153,7 +155,8 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
       std::function<bool(CellId)> FloatCell = [this](CellId C) {
         return C < Layout.numCells() && Layout.cell(C).Ty->isFloat();
       };
-      X = AbstractEnv::widen(X, Target, Thr, WithThresholds, &FloatCell);
+      X = AbstractEnv::widen(X, Target, Exec.Thr, WithThresholds,
+                             &FloatCell);
       Stats.add("fixpoint.widenings");
     }
     UnstablePrev = std::move(UnstableNow);
@@ -168,8 +171,7 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
     AbstractEnv Fx = In.isBottom() ? AbstractEnv::bottom()
                                    : execLoopBody(W, std::move(In));
     AbstractEnv E0Copy = E0;
-    T.preJoinReduce(E0Copy, Fx);
-    AbstractEnv Joined = AbstractEnv::join(E0Copy, Fx);
+    AbstractEnv Joined = T.join(E0Copy, Fx);
     AbstractEnv Next = AbstractEnv::narrow(X, Joined);
     if (AbstractEnv::equal(Next, X))
       break;

@@ -17,98 +17,9 @@ using namespace astral::ir;
 using memory::CellSel;
 using memory::ScalarAbs;
 
-/// Adds the absolute values of the numeric literals appearing in *guards*
-/// (test and loop conditions) of \p Prog to \p Out — automatic threshold
-/// seeding (the adaptation-by-parametrization of Sect. 7.1.2, automated as
-/// Sect. 3.2 recommends). Only guard constants are candidates: invariant
-/// bounds live at comparison limits (clamp and rate-limit constants), while
-/// initializer data and multiplication coefficients would flood the ladder
-/// with rungs that widening then has to climb one by one.
-static void collectConstantThresholds(const Program &Prog,
-                                      std::vector<double> &Out) {
-  std::function<void(const Expr *)> WalkE = [&](const Expr *E) {
-    if (!E)
-      return;
-    switch (E->Kind) {
-    case ExprKind::ConstInt:
-      Out.push_back(std::fabs(static_cast<double>(E->IntVal)));
-      return;
-    case ExprKind::ConstFloat:
-      Out.push_back(std::fabs(E->FloatVal));
-      return;
-    case ExprKind::Load:
-      return;
-    case ExprKind::Unary:
-    case ExprKind::Cast:
-      WalkE(E->A);
-      return;
-    case ExprKind::Binary:
-      WalkE(E->A);
-      WalkE(E->B);
-      return;
-    }
-  };
-  std::function<void(const Stmt *)> WalkS = [&](const Stmt *S) {
-    if (!S)
-      return;
-    switch (S->Kind) {
-    case StmtKind::If:
-    case StmtKind::While:
-    case StmtKind::Assume:
-    case StmtKind::Assert:
-      WalkE(S->Cond);
-      break;
-    default:
-      break;
-    }
-    WalkS(S->Then);
-    WalkS(S->Else);
-    WalkS(S->Body);
-    WalkS(S->Step);
-    for (const Stmt *C : S->Stmts)
-      WalkS(C);
-  };
-  for (const Function &F : Prog.Functions)
-    WalkS(F.Body);
-}
-
-Iterator::Iterator(const Program &Prog, const memory::CellLayout &L,
-                   const DomainRegistry &Registry, const AnalyzerOptions &O,
-                   Statistics &St, AlarmSet &Al)
-    : P(Prog), Layout(L), Reg(Registry), Opts(O), Stats(St), Alarms(Al),
-      Thr(Thresholds::geometric(O.ThresholdAlpha, O.ThresholdLambda,
-                                O.ThresholdCount)),
-      T(Prog, L, Registry, O, St, Al) {
-  // Fold user thresholds, program constants and the clock bound into the
-  // ladder (end-user parametrization, Sect. 3.2; widening thresholds are
-  // "easily found in the program documentation" — and the program's own
-  // literals plus the specified input ranges are the natural candidates:
-  // rate-limiter and clamp invariants stabilize exactly at those values).
-  std::vector<double> All = Thr.values();
-  for (double V : O.ExtraThresholds)
-    All.push_back(V);
-  All.push_back(O.ClockMax);
-  for (const auto &[Name, Rng] : O.VolatileRanges) {
-    All.push_back(std::fabs(Rng.Lo));
-    All.push_back(std::fabs(Rng.Hi));
-  }
-  collectConstantThresholds(Prog, All);
-  Thr = Thresholds::fromValues(All);
-  Thr.setEps(O.FloatPerturbation);
-
-  // Pre-compute each function's local cells for entry havoc.
-  FuncLocalCells.resize(P.Functions.size());
-  for (VarId V = 0; V < P.Vars.size(); ++V) {
-    const VarInfo &VI = P.var(V);
-    if (VI.Owner == NoFunc || VI.IsParam || VI.IsPersistent)
-      continue;
-    const memory::LayoutNode *Node = Layout.varLayout(V);
-    if (!Node)
-      continue;
-    for (uint32_t C = 0; C < Node->CellCount; ++C)
-      FuncLocalCells[VI.Owner].push_back(Node->FirstCell + C);
-  }
-}
+Iterator::Iterator(const ExecutionContext &X, Statistics &St, AlarmSet &Al)
+    : Exec(X), P(X.P), Layout(X.Layout), Opts(X.Opts), Stats(St), Alarms(Al),
+      T(X, St, Al) {}
 
 AbstractEnv Iterator::perturb(AbstractEnv Env) const {
   if (Env.isBottom())
@@ -133,10 +44,8 @@ AbstractEnv Iterator::joinAll(Disjunction D) {
   if (D.empty())
     return AbstractEnv::bottom();
   AbstractEnv R = std::move(D[0]);
-  for (size_t I = 1; I < D.size(); ++I) {
-    T.preJoinReduce(R, D[I]);
-    R = AbstractEnv::join(R, D[I]);
-  }
+  for (size_t I = 1; I < D.size(); ++I)
+    R = T.join(R, D[I]);
   return R;
 }
 
@@ -151,10 +60,8 @@ void Iterator::capPartitions(Disjunction &Out) {
   Stats.add("partitioning.cap_collapses");
   Stats.add("partitioning.cap_collapsed_envs", Out.size() - Cap);
   AbstractEnv Acc = std::move(Out[Cap - 1]);
-  for (size_t I = Cap; I < Out.size(); ++I) {
-    T.preJoinReduce(Acc, Out[I]);
-    Acc = AbstractEnv::join(Acc, Out[I]);
-  }
+  for (size_t I = Cap; I < Out.size(); ++I)
+    Acc = T.join(Acc, Out[I]);
   Out.resize(Cap);
   Out[Cap - 1] = std::move(Acc);
 }
@@ -165,12 +72,11 @@ void Iterator::recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv) {
     LoopInvariants.emplace(LoopId, Inv);
     return;
   }
-  // Reduce before the union like every other merge site — but on a copy:
-  // preJoinReduce refines both sides, and information from *other* inlined
+  // The reduced join like every other merge site — but on a copy: the
+  // reduction refines both sides, and information from *other* inlined
   // contexts must never flow back into this context's exit environment.
   AbstractEnv Incoming = Inv;
-  T.preJoinReduce(It->second, Incoming);
-  It->second = AbstractEnv::join(It->second, Incoming);
+  It->second = T.join(It->second, Incoming);
 }
 
 //===----------------------------------------------------------------------===//
@@ -209,10 +115,10 @@ struct Iterator::PartitionWorker {
 };
 
 Iterator::Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms)
-    : P(Parent.P), Layout(Parent.Layout), Reg(Parent.Reg), Opts(Parent.Opts),
-      Stats(Parent.Stats), Alarms(WorkerAlarms), Thr(Parent.Thr),
+    : Exec(Parent.Exec), P(Parent.P), Layout(Parent.Layout),
+      Opts(Parent.Opts), Stats(Parent.Stats), Alarms(WorkerAlarms),
       T(Parent.T, WorkerAlarms), PartitionDepth(Parent.PartitionDepth),
-      CallDepth(Parent.CallDepth), FuncLocalCells(Parent.FuncLocalCells) {}
+      CallDepth(Parent.CallDepth) {}
 
 void Iterator::mergeWorker(PartitionWorker &W) {
   // Alarms replay through AlarmSet::merge, not Transfer::alarm — the
@@ -328,10 +234,8 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     assert(!CallStack.empty() && "return outside of any call");
     CallCtx &C = CallStack.back();
     AbstractEnv Acc = std::move(C.ReturnAcc);
-    for (AbstractEnv &E : D) {
-      T.preJoinReduce(Acc, E);
-      Acc = AbstractEnv::join(Acc, E);
-    }
+    for (AbstractEnv &E : D)
+      Acc = T.join(Acc, E);
     C.ReturnAcc = std::move(Acc);
     return {};
   }
@@ -339,10 +243,8 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     assert(!LoopStack.empty() && "break outside of any loop");
     LoopCtx &C = LoopStack.back();
     AbstractEnv Acc = std::move(C.BreakAcc);
-    for (AbstractEnv &E : D) {
-      T.preJoinReduce(Acc, E);
-      Acc = AbstractEnv::join(Acc, E);
-    }
+    for (AbstractEnv &E : D)
+      Acc = T.join(Acc, E);
     C.BreakAcc = std::move(Acc);
     return {};
   }
@@ -350,10 +252,8 @@ Iterator::Disjunction Iterator::execStmt(const Stmt *S, Disjunction D) {
     assert(!LoopStack.empty() && "continue outside of any loop");
     LoopCtx &C = LoopStack.back();
     AbstractEnv Acc = std::move(C.ContinueAcc);
-    for (AbstractEnv &E : D) {
-      T.preJoinReduce(Acc, E);
-      Acc = AbstractEnv::join(Acc, E);
-    }
+    for (AbstractEnv &E : D)
+      Acc = T.join(Acc, E);
     C.ContinueAcc = std::move(Acc);
     return {};
   }
@@ -415,8 +315,7 @@ void Iterator::execIf(const Stmt *S, AbstractEnv Env, Disjunction &Out) {
   }
   AbstractEnv A = joinAll(std::move(ThenOut));
   AbstractEnv B = joinAll(std::move(ElseOut));
-  T.preJoinReduce(A, B);
-  Out.push_back(AbstractEnv::join(A, B));
+  Out.push_back(T.join(A, B));
 }
 
 AbstractEnv Iterator::execLoopBody(const Stmt *W, AbstractEnv Env) {
@@ -429,8 +328,7 @@ AbstractEnv Iterator::execLoopBody(const Stmt *W, AbstractEnv Env) {
   AbstractEnv R = execStmtSingle(W->Body, std::move(Env));
   AbstractEnv Cont = std::move(LoopStack[Depth].ContinueAcc);
   LoopStack[Depth].ContinueAcc = std::move(SavedContinue);
-  T.preJoinReduce(R, Cont);
-  R = AbstractEnv::join(R, Cont);
+  R = T.join(R, Cont);
   if (W->Step)
     R = execStmtSingle(W->Step, std::move(R));
   return R;
@@ -480,10 +378,8 @@ AbstractEnv Iterator::execWhile(const Stmt *S, AbstractEnv Env) {
 
   LoopStack.pop_back();
   AbstractEnv Out = AbstractEnv::bottom();
-  for (AbstractEnv &X : Exits) {
-    T.preJoinReduce(Out, X);
-    Out = AbstractEnv::join(Out, X);
-  }
+  for (AbstractEnv &X : Exits)
+    Out = T.join(Out, X);
   return Out;
 }
 
@@ -516,14 +412,7 @@ AbstractEnv Iterator::execCall(const Stmt *S, AbstractEnv Env) {
     }
   }
 
-  // Callee frame: havoc its locals (C locals start indeterminate; reusing a
-  // previous activation's abstraction would be unsound).
-  for (CellId C : FuncLocalCells[F->Id]) {
-    const ScalarAbs *Old = Env.cell(C);
-    Interval Range = T.cellTypeRange(C);
-    if (!Old || Old->Itv != Range)
-      Env.setCell(C, ScalarAbs{Range, Clocked::top()});
-  }
+  havocLocals(F, Env);
 
   // Bind value parameters.
   for (size_t I = 0; I < S->Args.size() && I < F->Params.size(); ++I) {
@@ -544,13 +433,7 @@ AbstractEnv Iterator::execCall(const Stmt *S, AbstractEnv Env) {
     ++PartitionDepth;
   ++CallDepth;
   T.Frames.push_back(std::move(NewFrame));
-  CallStack.push_back(CallCtx{});
-
-  AbstractEnv BodyOut = execStmtSingle(F->Body, std::move(Env));
-  AbstractEnv RetAcc = std::move(CallStack.back().ReturnAcc);
-  CallStack.pop_back();
-  T.preJoinReduce(BodyOut, RetAcc);
-  AbstractEnv Out = AbstractEnv::join(BodyOut, RetAcc);
+  AbstractEnv Out = execBody(F->Body, std::move(Env));
 
   // Fetch the return value while the callee cells are still in scope.
   Interval RetVal = Interval::bottom();
@@ -574,28 +457,33 @@ AbstractEnv Iterator::execCall(const Stmt *S, AbstractEnv Env) {
   return Out;
 }
 
+AbstractEnv Iterator::execBody(const Stmt *Body, AbstractEnv Env) {
+  CallStack.push_back(CallCtx{});
+  AbstractEnv BodyOut = execStmtSingle(Body, std::move(Env));
+  AbstractEnv RetAcc = std::move(CallStack.back().ReturnAcc);
+  CallStack.pop_back();
+  return T.join(BodyOut, RetAcc);
+}
+
+void Iterator::havocLocals(const Function *F, AbstractEnv &Env) const {
+  for (CellId C : Exec.FuncLocalCells[F->Id]) {
+    const ScalarAbs *Old = Env.cell(C);
+    const Interval &Range = Exec.CellRange[C];
+    if (!Old || Old->Itv != Range)
+      Env.setCell(C, ScalarAbs{Range, Clocked::top()});
+  }
+}
+
 AbstractEnv Iterator::runThread(const Function *F, AbstractEnv Env) {
   assert(F && F->Body && "thread entry must have a body");
   T.Checking = true;
   T.Frames.clear();
   T.Frames.push_back({});
-
   // Thread locals start indeterminate, exactly like a call prologue: the
   // driver re-runs the same entry every interference round, and reusing a
   // previous round's local abstraction would be unsound.
-  for (CellId C : FuncLocalCells[F->Id]) {
-    const ScalarAbs *Old = Env.cell(C);
-    Interval Range = T.cellTypeRange(C);
-    if (!Old || Old->Itv != Range)
-      Env.setCell(C, ScalarAbs{Range, Clocked::top()});
-  }
-
-  CallStack.push_back(CallCtx{});
-  AbstractEnv BodyOut = execStmtSingle(F->Body, std::move(Env));
-  AbstractEnv RetAcc = std::move(CallStack.back().ReturnAcc);
-  CallStack.pop_back();
-  T.preJoinReduce(BodyOut, RetAcc);
-  return AbstractEnv::join(BodyOut, RetAcc);
+  havocLocals(F, Env);
+  return execBody(F->Body, std::move(Env));
 }
 
 AbstractEnv Iterator::run() {
@@ -608,10 +496,5 @@ AbstractEnv Iterator::run() {
 
   const Function *Entry = P.function(P.Entry);
   assert(Entry && Entry->Body && "missing entry function");
-  CallStack.push_back(CallCtx{});
-  AbstractEnv BodyOut = execStmtSingle(Entry->Body, std::move(Env));
-  AbstractEnv RetAcc = std::move(CallStack.back().ReturnAcc);
-  CallStack.pop_back();
-  T.preJoinReduce(BodyOut, RetAcc);
-  return AbstractEnv::join(BodyOut, RetAcc);
+  return execBody(Entry->Body, std::move(Env));
 }

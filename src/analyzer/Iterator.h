@@ -22,7 +22,6 @@
 #define ASTRAL_ANALYZER_ITERATOR_H
 
 #include "analyzer/Transfer.h"
-#include "domains/Thresholds.h"
 
 #include <map>
 
@@ -30,9 +29,8 @@ namespace astral {
 
 class Iterator {
 public:
-  Iterator(const ir::Program &P, const memory::CellLayout &Layout,
-           const DomainRegistry &Registry, const AnalyzerOptions &Opts,
-           Statistics &Stats, AlarmSet &Alarms);
+  /// Reads every table from \p Exec and builds none.
+  Iterator(const ExecutionContext &Exec, Statistics &Stats, AlarmSet &Alarms);
 
   /// Abstract-executes the whole program (global initialization, then the
   /// entry function) in checking mode. Returns the final environment.
@@ -51,7 +49,6 @@ public:
   }
 
   Transfer &transfer() { return T; }
-  const Thresholds &thresholds() const { return Thr; }
 
 private:
   /// Trace partitions: a disjunction of environments (Sect. 7.1.5). Size 1
@@ -63,6 +60,13 @@ private:
   void execIf(const ir::Stmt *S, AbstractEnv Env, Disjunction &Out);
   AbstractEnv execWhile(const ir::Stmt *S, AbstractEnv Env);
   AbstractEnv execCall(const ir::Stmt *S, AbstractEnv Env);
+  /// Runs a function body in a fresh return context: the join of its
+  /// fall-through exit and its `return`s.
+  AbstractEnv execBody(const ir::Stmt *Body, AbstractEnv Env);
+  /// Resets \p F's non-parameter locals to their machine range (C locals
+  /// start indeterminate; reusing a previous activation's abstraction would
+  /// be unsound).
+  void havocLocals(const ir::Function *F, AbstractEnv &Env) const;
   /// One abstract iteration of a loop body (body, continue-join, step).
   AbstractEnv execLoopBody(const ir::Stmt *W, AbstractEnv Env);
   /// Widening/narrowing fixpoint (Fixpoint.cpp).
@@ -76,7 +80,7 @@ private:
   /// sub-Iterator clone.
   struct PartitionWorker;
 
-  /// Worker clone: shares the immutable inputs and the thread-safe
+  /// Worker clone: shares the execution context and the thread-safe
   /// Statistics and buffers alarms in \p WorkerAlarms. It starts with empty
   /// loop and call stacks: it only runs straight-line `if` regions, which
   /// never reach a loop, a call or a jump.
@@ -104,13 +108,12 @@ private:
   /// sibling contexts).
   void recordLoopInvariant(uint32_t LoopId, const AbstractEnv &Inv);
 
+  const ExecutionContext &Exec;
   const ir::Program &P;
   const memory::CellLayout &Layout;
-  const DomainRegistry &Reg;
   const AnalyzerOptions &Opts;
   Statistics &Stats;
   AlarmSet &Alarms;
-  Thresholds Thr;
   Transfer T;
 
   /// Per-level iteration context: the break/continue and return
@@ -129,8 +132,6 @@ private:
   int PartitionDepth = 0;
   unsigned CallDepth = 0;
   std::map<uint32_t, AbstractEnv> LoopInvariants;
-  /// Cells of each function's non-parameter locals (havocked at entry).
-  std::vector<std::vector<CellId>> FuncLocalCells;
 };
 
 } // namespace astral

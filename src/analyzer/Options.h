@@ -22,6 +22,7 @@
 #include "domains/RelationalDomain.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -76,10 +77,10 @@ struct AnalyzerOptions {
   unsigned MaxOctPackSize = 8;
   unsigned MaxBoolsPerTreePack = 3; ///< The 7.2.3 sweet spot.
   static constexpr unsigned MaxNumsPerTreePack = 4;
-  /// When non-empty, only these octagon pack ids are instantiated (the
-  /// Sect. 7.2.2 optimization: reuse the useful-pack list of a previous run).
-  std::set<uint32_t> RestrictOctPacks;
-  bool UseRestrictedPacks = false;
+  /// When engaged, only these octagon pack ids are instantiated — possibly
+  /// none (the Sect. 7.2.2 optimization: reuse the useful-pack list of a
+  /// previous run).
+  std::optional<std::set<uint32_t>> RestrictOctPacks;
 
   // -- Environment specification (Sect. 4) -------------------------------------
   /// Ranges of volatile inputs ("essentially ranges of values for a few

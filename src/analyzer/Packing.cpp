@@ -605,10 +605,10 @@ Packing Packing::build(const Program &P, const CellLayout &Layout,
     B.finalizeTreePacks();
 
   // Sect. 7.2.2: restrict to the useful packs of a previous analysis.
-  if (Opts.UseRestrictedPacks) {
+  if (Opts.RestrictOctPacks) {
     std::vector<OctPack> Kept;
     for (OctPack &Pack : B.Result.OctPacks) {
-      if (!Opts.RestrictOctPacks.count(Pack.Id))
+      if (!Opts.RestrictOctPacks->count(Pack.Id))
         continue;
       Pack.Id = static_cast<PackId>(Kept.size());
       Kept.push_back(std::move(Pack));

@@ -17,8 +17,6 @@
 
 using namespace astral;
 
-Scheduler::~Scheduler() = default;
-
 //===----------------------------------------------------------------------===//
 // Ambient scheduler
 //===----------------------------------------------------------------------===//
@@ -66,10 +64,7 @@ unsigned Scheduler::effectiveJobs(unsigned Jobs) {
 }
 
 std::shared_ptr<Scheduler> Scheduler::create(unsigned Jobs) {
-  unsigned N = effectiveJobs(Jobs);
-  if (N == 1)
-    return std::make_shared<SequentialScheduler>();
-  return std::make_shared<ThreadPoolScheduler>(N);
+  return std::make_shared<Scheduler>(effectiveJobs(Jobs));
 }
 
 bool Scheduler::wouldFanOut(size_t NumGroups) {
@@ -90,22 +85,12 @@ bool Scheduler::runGroups(size_t NumGroups,
 }
 
 //===----------------------------------------------------------------------===//
-// SequentialScheduler
-//===----------------------------------------------------------------------===//
-
-void SequentialScheduler::parallelFor(size_t N,
-                                      const std::function<void(size_t)> &F) {
-  for (size_t I = 0; I < N; ++I)
-    F(I);
-}
-
-//===----------------------------------------------------------------------===//
-// ThreadPoolScheduler
+// The pool
 //===----------------------------------------------------------------------===//
 
 /// One parallelFor invocation: a shared index space claimed with an atomic
 /// cursor, a completion count, and the first-by-index task exception.
-struct ThreadPoolScheduler::Batch {
+struct Scheduler::Batch {
   size_t N = 0;
   const std::function<void(size_t)> *F = nullptr;
   /// The submitting thread's ambient per-session memory counter: workers
@@ -128,17 +113,13 @@ struct ThreadPoolScheduler::Batch {
   size_t FirstErrorIndex = ~size_t(0);
 };
 
-ThreadPoolScheduler::ThreadPoolScheduler(unsigned Threads)
-    : NumThreads(std::min(Scheduler::MaxThreads,
-                          Threads ? Threads
-                                  : std::max(
-                                        1u,
-                                        std::thread::hardware_concurrency()))) {
+Scheduler::Scheduler(unsigned Threads)
+    : NumThreads(std::min(MaxThreads, Threads ? Threads : hardwareThreads())) {
   for (unsigned I = 1; I < NumThreads; ++I)
     Workers.emplace_back([this] { workerMain(); });
 }
 
-ThreadPoolScheduler::~ThreadPoolScheduler() {
+Scheduler::~Scheduler() {
   {
     std::lock_guard<std::mutex> L(Mu);
     ShuttingDown = true;
@@ -148,7 +129,7 @@ ThreadPoolScheduler::~ThreadPoolScheduler() {
     W.join();
 }
 
-void ThreadPoolScheduler::runTasks(Batch &B) {
+void Scheduler::runTasks(Batch &B) {
   bool SavedInside = InsidePoolTask;
   InsidePoolTask = true;
   memtrack::CounterScope MemScope(B.Mem);
@@ -183,7 +164,7 @@ void ThreadPoolScheduler::runTasks(Batch &B) {
   InsidePoolTask = SavedInside;
 }
 
-void ThreadPoolScheduler::workerMain() {
+void Scheduler::workerMain() {
   uint64_t SeenSeq = 0;
   for (;;) {
     std::shared_ptr<Batch> B;
@@ -201,7 +182,7 @@ void ThreadPoolScheduler::workerMain() {
   }
 }
 
-void ThreadPoolScheduler::parallelFor(size_t N,
+void Scheduler::parallelFor(size_t N,
                                       const std::function<void(size_t)> &F) {
   if (N == 0)
     return;

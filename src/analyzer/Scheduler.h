@@ -9,13 +9,11 @@
 /// The execution-policy seam of the parallel analyzer (Monniaux, "The
 /// parallel implementation of the Astrée static analyzer"): a Scheduler
 /// turns an index space of independent tasks into work on one or more
-/// threads. Two implementations:
-///
-///   - SequentialScheduler: runs tasks inline, in index order. The default.
-///   - ThreadPoolScheduler: a persistent worker pool, reused across analysis
-///     phases and across the files of a batch. The submitting thread
-///     participates in the batch, so parallelFor(N, F) never deadlocks even
-///     when the pool is saturated.
+/// threads. It is a persistent worker pool, reused across analysis phases
+/// and across the files of a batch. The submitting thread participates in
+/// the batch, so parallelFor(N, F) never deadlocks even when the pool is
+/// saturated. A one-thread Scheduler (the default, --jobs=1) spawns no
+/// worker and runs every task inline, in index order.
 ///
 /// Scheduler contract (what makes `--jobs=N` byte-identical to sequential):
 ///   - Tasks of one parallelFor must be independent: they may not mutate
@@ -53,20 +51,28 @@ namespace astral {
 
 class Scheduler {
 public:
-  virtual ~Scheduler();
+  /// \p Threads is the total concurrency including the submitting thread;
+  /// the pool spawns Threads - 1 workers. Threads == 0 uses the hardware
+  /// concurrency. Construction spawns the workers once; destruction joins
+  /// them.
+  explicit Scheduler(unsigned Threads);
+  ~Scheduler();
+
+  Scheduler(const Scheduler &) = delete;
+  Scheduler &operator=(const Scheduler &) = delete;
 
   /// Number of threads that may run tasks concurrently (>= 1).
-  virtual unsigned concurrency() const = 0;
+  unsigned concurrency() const { return NumThreads; }
 
   /// Runs F(0) .. F(N-1), possibly concurrently, returning when all are
   /// done. See the file comment for the independence/determinism contract.
-  virtual void parallelFor(size_t N, const std::function<void(size_t)> &F) = 0;
+  void parallelFor(size_t N, const std::function<void(size_t)> &F);
 
   /// The scheduler installed for the current thread by a SchedulerScope, or
   /// null (callers then run inline).
   static Scheduler *ambient();
 
-  /// Whether the current thread is executing a ThreadPoolScheduler task.
+  /// Whether the current thread is executing a pool task.
   /// Code that would install an ambient scheduler checks this first: a
   /// worker's nested parallelFor runs inline anyway, so staging work for
   /// it is pure overhead.
@@ -86,8 +92,7 @@ public:
   /// can cover the condition without capturing stderr.
   static bool oversubscribes(unsigned Jobs);
 
-  /// Builds the scheduler for effectiveJobs(\p Jobs): 1 ->
-  /// SequentialScheduler, > 1 -> ThreadPoolScheduler.
+  /// Builds the scheduler for effectiveJobs(\p Jobs) threads.
   static std::shared_ptr<Scheduler> create(unsigned Jobs);
 
   /// Whether runGroups(\p NumGroups, ...) called right now would fan the
@@ -113,43 +118,6 @@ public:
   /// --jobs flag cannot make the analyzer spawn an unbounded number of
   /// threads (std::thread construction failure would terminate).
   static constexpr unsigned MaxThreads = 256;
-};
-
-/// Installs \p S as the calling thread's ambient scheduler for the scope's
-/// lifetime (restores the previous one on exit). Passing null simply
-/// shadows any outer scope.
-class SchedulerScope {
-public:
-  explicit SchedulerScope(Scheduler *S);
-  ~SchedulerScope();
-
-  SchedulerScope(const SchedulerScope &) = delete;
-  SchedulerScope &operator=(const SchedulerScope &) = delete;
-
-private:
-  Scheduler *Prev;
-};
-
-/// Runs every task inline on the calling thread, in index order.
-class SequentialScheduler final : public Scheduler {
-public:
-  unsigned concurrency() const override { return 1; }
-  void parallelFor(size_t N, const std::function<void(size_t)> &F) override;
-};
-
-/// A persistent pool of worker threads. Construction spawns the workers
-/// once; every parallelFor (from any phase, or from the batch driver)
-/// reuses them. Destruction joins the workers.
-class ThreadPoolScheduler final : public Scheduler {
-public:
-  /// \p Threads is the total concurrency including the submitting thread;
-  /// the pool spawns Threads - 1 workers. Threads == 0 uses the hardware
-  /// concurrency.
-  explicit ThreadPoolScheduler(unsigned Threads);
-  ~ThreadPoolScheduler() override;
-
-  unsigned concurrency() const override { return NumThreads; }
-  void parallelFor(size_t N, const std::function<void(size_t)> &F) override;
 
 private:
   struct Batch;
@@ -166,6 +134,21 @@ private:
   std::shared_ptr<Batch> Current; ///< Batch being executed, or null.
   uint64_t BatchSeq = 0;          ///< Bumped per submitted batch.
   bool ShuttingDown = false;
+};
+
+/// Installs \p S as the calling thread's ambient scheduler for the scope's
+/// lifetime (restores the previous one on exit). Passing null simply
+/// shadows any outer scope.
+class SchedulerScope {
+public:
+  explicit SchedulerScope(Scheduler *S);
+  ~SchedulerScope();
+
+  SchedulerScope(const SchedulerScope &) = delete;
+  SchedulerScope &operator=(const SchedulerScope &) = delete;
+
+private:
+  Scheduler *Prev;
 };
 
 } // namespace astral

@@ -50,47 +50,21 @@ private:
 
 } // namespace astral
 
-Transfer::Transfer(const Program &Prog, const memory::CellLayout &L,
-                   const DomainRegistry &Registry, const AnalyzerOptions &O,
-                   Statistics &St, AlarmSet &Al)
-    : P(Prog), Layout(L), Reg(Registry), Opts(O), Stats(St), Alarms(Al) {
+Transfer::Transfer(const ExecutionContext &X, Statistics &St, AlarmSet &Al)
+    : Exec(X), P(X.P), Layout(X.Layout), Reg(X.Reg), Opts(X.Opts), Stats(St),
+      Alarms(Al) {
   RelPackImproved.resize(Reg.size());
   for (size_t D = 0; D < Reg.size(); ++D)
     RelPackImproved[D].assign(Reg.domain(D).numPacks(), 0);
-  CellRange.reserve(Layout.numCells());
-  VolatileRng.reserve(Layout.numCells());
-  for (const memory::CellInfo &CI : Layout.cells()) {
-    CellRange.push_back(typeRange(CI.Ty));
-    Interval VR = CellRange.back();
-    if (CI.IsVolatile) {
-      auto It = Opts.VolatileRanges.find(P.var(CI.Var).Name);
-      if (It != Opts.VolatileRanges.end())
-        VR = It->second.meet(VR);
-    }
-    VolatileRng.push_back(VR);
-  }
 }
 
 Transfer::Transfer(const Transfer &Parent, AlarmSet &WorkerAlarms)
-    : P(Parent.P), Layout(Parent.Layout), Reg(Parent.Reg), Opts(Parent.Opts),
-      Stats(Parent.Stats), Alarms(WorkerAlarms), CellRange(Parent.CellRange),
-      VolatileRng(Parent.VolatileRng) {
+    : Exec(Parent.Exec), P(Parent.P), Layout(Parent.Layout), Reg(Parent.Reg),
+      Opts(Parent.Opts), Stats(Parent.Stats), Alarms(WorkerAlarms) {
   Checking = Parent.Checking;
   RelPackImproved = Parent.RelPackImproved;
   Frames = Parent.Frames;
   Conc = Parent.Conc;
-}
-
-Interval Transfer::typeRange(const Type *Ty) const {
-  if (Ty->isInt()) {
-    if (Ty->IsBool)
-      return Interval(0, 1);
-    return Interval(static_cast<double>(Ty->intMin()),
-                    static_cast<double>(Ty->intMax()));
-  }
-  if (Ty->isFloat())
-    return Interval(-Ty->floatMax(), Ty->floatMax());
-  return Interval::top();
 }
 
 AbstractEnv Transfer::initialEnv() const {
@@ -100,11 +74,11 @@ AbstractEnv Transfer::initialEnv() const {
     const ir::VarInfo &VI = P.var(CI.Var);
     ScalarAbs V;
     if (CI.IsVolatile)
-      V.Itv = VolatileRng[C];
+      V.Itv = Exec.VolatileRng[C];
     else if (VI.IsPersistent)
       V.Itv = Interval::point(0);
     else
-      V.Itv = CellRange[C];
+      V.Itv = Exec.CellRange[C];
     Env.setCell(C, V);
   }
   Env.setClock(Interval::point(0));
@@ -263,13 +237,13 @@ Interval Transfer::evalLoad(const AbstractEnv &Env, const Expr *E,
     }
     if (!Have && Layout.cell(C).IsVolatile) {
       // Volatile loads return the environment-specified input range.
-      V = VolatileRng[C];
+      V = Exec.VolatileRng[C];
       Have = true;
     }
     if (!Have) {
       const ScalarAbs *S = Env.cell(C);
       if (!S) {
-        V = CellRange[C];
+        V = Exec.CellRange[C];
       } else {
         V = S->Itv;
         if (Opts.domainEnabled(DomainKind::Clocked) && !S->Clk.isTop())
@@ -662,8 +636,8 @@ AbstractEnv Transfer::assign(AbstractEnv Env, const LValue &Lhs,
   for (CellId C = Sel.First; C < Sel.First + Sel.Count; ++C) {
     const ScalarAbs *OldAbs = Env.cell(C);
     ScalarAbs Old = OldAbs ? *OldAbs
-                           : ScalarAbs{CellRange[C], Clocked::top()};
-    Interval CellV = V.meet(CellRange[C]);
+                           : ScalarAbs{Exec.CellRange[C], Clocked::top()};
+    Interval CellV = V.meet(Exec.CellRange[C]);
     if (CellV.isBottom())
       CellV = V; // Foreign-typed weak targets: keep the raw value.
 
@@ -697,7 +671,7 @@ AbstractEnv Transfer::assign(AbstractEnv Env, const LValue &Lhs,
     if (Conc && Conc->isShared(Sel.First)) {
       // Shared targets stay untracked relationally: any fact the packs
       // keep about them would outlive rival writes.
-      relationalForget(Env, Sel.First, CellRange[Sel.First]);
+      relationalForget(Env, Sel.First, Exec.CellRange[Sel.First]);
     } else if (RhsShared) {
       // Keep the target's interval in its packs but sever the relation to
       // the shared operands (a `y := x` relation through shared x would
@@ -710,7 +684,7 @@ AbstractEnv Transfer::assign(AbstractEnv Env, const LValue &Lhs,
   } else {
     for (CellId C = Sel.First; C < Sel.First + Sel.Count; ++C)
       relationalForget(Env, C,
-                       Conc && Conc->isShared(C) ? CellRange[C] : V);
+                       Conc && Conc->isShared(C) ? Exec.CellRange[C] : V);
   }
   return Env;
 }
@@ -729,9 +703,9 @@ AbstractEnv Transfer::assignInterval(AbstractEnv Env, const LValue &Lhs,
   for (CellId C = Sel.First; C < Sel.First + Sel.Count; ++C) {
     const ScalarAbs *OldAbs = Env.cell(C);
     ScalarAbs Old = OldAbs ? *OldAbs
-                           : ScalarAbs{CellRange[C], Clocked::top()};
+                           : ScalarAbs{Exec.CellRange[C], Clocked::top()};
     if (Conc && Conc->Out && Conc->isShared(C)) {
-      Interval CellV = V.meet(CellRange[C]);
+      Interval CellV = V.meet(Exec.CellRange[C]);
       Conc->Out->recordWrite(C, CellV.isBottom() ? V : CellV, 0, Lhs.Loc);
     }
     Clocked Clk = Opts.domainEnabled(DomainKind::Clocked) &&
@@ -739,13 +713,13 @@ AbstractEnv Transfer::assignInterval(AbstractEnv Env, const LValue &Lhs,
                       ? Clocked::fromValue(V, Env.clock())
                       : Clocked::top();
     if (Strong)
-      Env.setCell(C, ScalarAbs{V.meet(CellRange[C]), Clk});
+      Env.setCell(C, ScalarAbs{V.meet(Exec.CellRange[C]), Clk});
     else
       Env.setCell(C, ScalarAbs{Old.Itv.join(V), Old.Clk.join(Clk)});
   }
   if (Strong) {
     if (Conc && Conc->isShared(Sel.First)) {
-      relationalForget(Env, Sel.First, CellRange[Sel.First]);
+      relationalForget(Env, Sel.First, Exec.CellRange[Sel.First]);
     } else {
       LinearForm Form = LinearForm::constant(V);
       relationalAssign(Env, Sel.First, Form, V, nullptr);
@@ -753,7 +727,7 @@ AbstractEnv Transfer::assignInterval(AbstractEnv Env, const LValue &Lhs,
   } else {
     for (CellId C = Sel.First; C < Sel.First + Sel.Count; ++C)
       relationalForget(Env, C,
-                       Conc && Conc->isShared(C) ? CellRange[C] : V);
+                       Conc && Conc->isShared(C) ? Exec.CellRange[C] : V);
   }
   return Env;
 }
@@ -804,8 +778,7 @@ AbstractEnv Transfer::guard(AbstractEnv Env, const Expr *Cond,
       AbstractEnv NotA = guard(Env, Cond->A, false);
       AbstractEnv AandNotB =
           guard(guard(std::move(Env), Cond->A, true), Cond->B, false);
-      preJoinReduce(NotA, AandNotB);
-      return AbstractEnv::join(NotA, AandNotB);
+      return join(NotA, AandNotB);
     }
     if (Cond->BO == BinOp::LogicalOr) {
       if (!Positive)
@@ -813,8 +786,7 @@ AbstractEnv Transfer::guard(AbstractEnv Env, const Expr *Cond,
       AbstractEnv A = guard(Env, Cond->A, true);
       AbstractEnv NotAandB =
           guard(guard(std::move(Env), Cond->A, false), Cond->B, true);
-      preJoinReduce(A, NotAandB);
-      return AbstractEnv::join(A, NotAandB);
+      return join(A, NotAandB);
     }
     if (isComparison(Cond->BO)) {
       BinOp Op = Cond->BO;
@@ -1029,8 +1001,13 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
 }
 
 //===----------------------------------------------------------------------===//
-// Pre-join reduction
+// Reduced join
 //===----------------------------------------------------------------------===//
+
+AbstractEnv Transfer::join(AbstractEnv &A, AbstractEnv &B) {
+  preJoinReduce(A, B);
+  return AbstractEnv::join(A, B);
+}
 
 void Transfer::preJoinReduce(AbstractEnv &A, AbstractEnv &B) {
   if (A.isBottom() || B.isBottom())

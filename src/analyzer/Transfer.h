@@ -25,8 +25,7 @@
 #define ASTRAL_ANALYZER_TRANSFER_H
 
 #include "analyzer/Alarm.h"
-#include "analyzer/DomainRegistry.h"
-#include "analyzer/Options.h"
+#include "analyzer/ExecutionContext.h"
 #include "analyzer/Packing.h"
 #include "concurrency/Interference.h"
 #include "domains/LinearForm.h"
@@ -51,16 +50,14 @@ struct RefBinding {
 
 class Transfer {
 public:
-  Transfer(const ir::Program &P, const memory::CellLayout &Layout,
-           const DomainRegistry &Registry, const AnalyzerOptions &Opts,
-           Statistics &Stats, AlarmSet &Alarms);
+  /// Reads every table from \p Exec and builds none.
+  Transfer(const ExecutionContext &Exec, Statistics &Stats, AlarmSet &Alarms);
 
-  /// Worker clone for the trace-partition dispatch: shares the immutable
-  /// analysis inputs (program, layout, registry, options) and the
-  /// thread-safe Statistics sink, but binds alarms to \p WorkerAlarms — a
-  /// per-worker buffer the Iterator merges back in canonical partition
-  /// order — and copies the mutable per-run state (mode, frames, the
-  /// pack-usefulness flags, cached cell ranges) so the worker computes
+  /// Worker clone for the trace-partition dispatch: shares the execution
+  /// context and the thread-safe Statistics sink, but binds alarms to
+  /// \p WorkerAlarms — a per-worker buffer the Iterator merges back in
+  /// canonical partition order — and copies the mutable per-run state
+  /// (mode, frames, the pack-usefulness flags) so the worker computes
   /// byte-identically to the sequential loop without touching the parent.
   Transfer(const Transfer &Parent, AlarmSet &WorkerAlarms);
 
@@ -97,10 +94,6 @@ public:
   /// specified range, locals at full machine range, relational packs at top.
   AbstractEnv initialEnv() const;
 
-  /// Machine range of a cell / of a scalar type (alarm clamping target).
-  Interval typeRange(const Type *Ty) const;
-  const Interval &cellTypeRange(CellId C) const { return CellRange[C]; }
-
   // -- Evaluation -----------------------------------------------------------
   /// Abstract value of \p E; reports alarms when Checking is set.
   Interval evalExpr(const AbstractEnv &Env, const ir::Expr *E,
@@ -131,10 +124,12 @@ public:
   /// Synchronous clock tick (Sect. 4 / clocked domain).
   AbstractEnv wait(AbstractEnv Env);
 
-  /// The paper's pre-union reduction ("before computing the union between
-  /// two abstract elements"): lets every registered domain refine its
-  /// states from the sibling's, via DomainState::preJoinWith.
-  void preJoinReduce(AbstractEnv &A, AbstractEnv &B);
+  /// The reduced join every merge of the analysis makes: the paper's
+  /// pre-union reduction ("before computing the union between two abstract
+  /// elements") refines \p A and \p B in place from each other, then the
+  /// union of the refined pair is returned. Callers that must keep a side
+  /// unrefined pass a copy.
+  AbstractEnv join(AbstractEnv &A, AbstractEnv &B);
 
   /// Severs every relational fact about cell \p C, resetting it to its
   /// machine range in all packs. The concurrency driver applies this to
@@ -143,7 +138,7 @@ public:
   /// startup-time fact about a shared cell would outlive rival writes and
   /// later re-tighten a value past the per-load interference join.
   void forgetCellRelations(AbstractEnv &Env, CellId C) {
-    relationalForget(Env, C, CellRange[C]);
+    relationalForget(Env, C, Exec.CellRange[C]);
   }
 
   // -- LValue machinery -------------------------------------------------------
@@ -157,6 +152,10 @@ public:
 
 private:
   friend class TransferEvalContext;
+
+  /// Lets every registered domain refine its states from the sibling's,
+  /// via DomainState::preJoinWith — the first half of join().
+  void preJoinReduce(AbstractEnv &A, AbstractEnv &B);
 
   Interval evalBinary(const AbstractEnv &Env, const ir::Expr *E,
                       const CellOverlay *Overlay);
@@ -212,14 +211,13 @@ private:
                            const std::vector<memory::PackId> &Touched,
                            const SweepOp &Op, bool StopOnBottom);
 
+  const ExecutionContext &Exec;
   const ir::Program &P;
   const memory::CellLayout &Layout;
   const DomainRegistry &Reg;
   const AnalyzerOptions &Opts;
   Statistics &Stats;
   AlarmSet &Alarms;
-  std::vector<Interval> CellRange;    ///< Machine range per cell.
-  std::vector<Interval> VolatileRng;  ///< Input range per volatile cell.
 };
 
 } // namespace astral

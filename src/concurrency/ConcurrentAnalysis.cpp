@@ -20,12 +20,9 @@ namespace concurrency {
 using memory::AbstractEnv;
 using memory::CellId;
 
-ConcurrentAnalysis::ConcurrentAnalysis(const ir::Program &P,
-                                       const memory::CellLayout &Layout,
-                                       const DomainRegistry &Registry,
-                                       const AnalyzerOptions &Opts,
+ConcurrentAnalysis::ConcurrentAnalysis(const ExecutionContext &Exec,
                                        Statistics &Stats)
-    : P(P), Layout(Layout), Reg(Registry), Opts(Opts), Stats(Stats) {}
+    : Exec(Exec), Stats(Stats) {}
 
 namespace {
 
@@ -51,9 +48,11 @@ std::set<std::pair<uint32_t, uint8_t>> alarmSignatures(const AlarmSet &A) {
 
 ConcurrentResult ConcurrentAnalysis::run() {
   ConcurrentResult R;
+  const ir::Program &P = Exec.P;
+  const memory::CellLayout &Layout = Exec.Layout;
 
   std::vector<ThreadSpec> Threads;
-  for (const auto &[Name, Fn] : Opts.Threads)
+  for (const auto &[Name, Fn] : Exec.Opts.Threads)
     Threads.push_back(ThreadSpec{Name, P.findFunction(Fn)});
   const size_t N = Threads.size();
 
@@ -68,24 +67,19 @@ ConcurrentResult ConcurrentAnalysis::run() {
       SharedCell[C] = 1;
   }
 
-  // A private Transfer for the cross-thread merges (preJoinReduce folds,
-  // machine ranges for the interference widening). Never checks, so its
-  // alarm sink stays empty.
-  AlarmSet MergeAlarms;
-  Transfer MergeT(P, Layout, Reg, Opts, Stats, MergeAlarms);
-  std::vector<Interval> CellRange(Layout.numCells());
-  for (CellId C = 0; C < Layout.numCells(); ++C)
-    CellRange[C] = MergeT.cellTypeRange(C);
-
   // Startup: global initialization plus the entry function, the classic
   // sequential analysis. Threads are modeled as starting from its final
   // environment (documented caveat: the entry must terminate — a
   // non-returning entry leaves E0 bottom and the threads dead).
   AlarmSet StartupAlarms;
-  Iterator Startup(P, Layout, Reg, Opts, Stats, StartupAlarms);
+  Iterator Startup(Exec, Stats, StartupAlarms);
   AbstractEnv E0 = Startup.run();
   R.LoopInvariants = Startup.loopInvariants();
   R.RelPackImproved = Startup.transfer().RelPackImproved;
+  // The startup Transfer also makes every cross-thread merge below: the
+  // reduced joins and the relation severing report no alarm and set no
+  // pack-usefulness flag.
+  Transfer &Merge = Startup.transfer();
 
   // Relational packs are thread-local under interference semantics; sever
   // the startup state's facts about shared cells so no stale relation
@@ -94,7 +88,7 @@ ConcurrentResult ConcurrentAnalysis::run() {
   if (!E0.isBottom())
     for (CellId C = 0; C < Layout.numCells(); ++C)
       if (SharedCell[C])
-        MergeT.forgetCellRelations(E0, C);
+        Merge.forgetCellRelations(E0, C);
 
   InterferenceMap Cur(N);
   std::vector<std::set<std::pair<uint32_t, uint8_t>>> Baseline(N);
@@ -121,7 +115,7 @@ ConcurrentResult ConcurrentAnalysis::run() {
       Ctx.In = &Cur;
       Ctx.Out = &Rec;
       Ctx.SharedCell = &SharedCell;
-      Iterator It(P, Layout, Reg, Opts, Stats, TR.Alarms);
+      Iterator It(Exec, Stats, TR.Alarms);
       It.transfer().Conc = &Ctx;
       TR.Final = It.runThread(Threads[T].Fn, E0);
       TR.Invariants = It.loopInvariants();
@@ -153,7 +147,7 @@ ConcurrentResult ConcurrentAnalysis::run() {
     // machine range — the finite-height cap that bounds the chain (racing
     // counters would otherwise creep up one increment per round).
     if (Round >= WidenAfterRound)
-      Cur.widenWrites(Prev, CellRange);
+      Cur.widenWrites(Prev, Exec.CellRange);
   }
 
   // ---- Deterministic result assembly (thread-declaration order) ----
@@ -220,13 +214,9 @@ ConcurrentResult ConcurrentAnalysis::run() {
 
   // Final environment: the startup state joined with every thread's final
   // state (the program's reachable post-states).
-  auto Fold = [&](AbstractEnv &Acc, AbstractEnv &X) {
-    MergeT.preJoinReduce(Acc, X);
-    Acc = AbstractEnv::join(Acc, X);
-  };
   R.Final = std::move(E0);
   for (size_t T = 0; T < N; ++T)
-    Fold(R.Final, FinalRuns[T].Final);
+    R.Final = Merge.join(R.Final, FinalRuns[T].Final);
 
   // Loop invariants: fold each thread's map in declaration order with the
   // canonical reduce-then-join (helpers shared between startup and threads
@@ -238,8 +228,7 @@ ConcurrentResult ConcurrentAnalysis::run() {
         R.LoopInvariants.emplace(LoopId, std::move(Inv));
         continue;
       }
-      MergeT.preJoinReduce(It->second, Inv);
-      It->second = AbstractEnv::join(It->second, Inv);
+      It->second = Merge.join(It->second, Inv);
     }
 
   // Pack usefulness is monotone; OR is exact.

@@ -39,8 +39,7 @@
 #define ASTRAL_CONCURRENCY_CONCURRENTANALYSIS_H
 
 #include "analyzer/Alarm.h"
-#include "analyzer/DomainRegistry.h"
-#include "analyzer/Options.h"
+#include "analyzer/ExecutionContext.h"
 #include "concurrency/Interference.h"
 #include "memory/AbstractEnv.h"
 #include "support/Statistics.h"
@@ -74,9 +73,8 @@ struct ConcurrentResult {
 
 class ConcurrentAnalysis {
 public:
-  ConcurrentAnalysis(const ir::Program &P, const memory::CellLayout &Layout,
-                     const DomainRegistry &Registry,
-                     const AnalyzerOptions &Opts, Statistics &Stats);
+  /// Every thread of every round reads \p Exec; none builds a table.
+  ConcurrentAnalysis(const ExecutionContext &Exec, Statistics &Stats);
 
   /// Resolves Opts.Threads against the program. Never fails here — the
   /// frontend validated the entries (exist, have a body, no parameters).
@@ -89,10 +87,7 @@ public:
   static constexpr unsigned MaxRounds = 64;
 
 private:
-  const ir::Program &P;
-  const memory::CellLayout &Layout;
-  const DomainRegistry &Reg;
-  const AnalyzerOptions &Opts;
+  const ExecutionContext &Exec;
   Statistics &Stats;
 };
 

@@ -24,10 +24,9 @@ double addUpInf(double A, double B) {
 }
 } // namespace
 
-Octagon::Octagon(std::vector<CellId> Cells, OctClosureMode ClosureMode,
-                 std::shared_ptr<OctagonClosureStats> ClosureStats)
+Octagon::Octagon(std::vector<CellId> Cells, OctClosureMode ClosureMode)
     : Vars(std::move(Cells)), N(static_cast<int>(Vars.size()) * 2),
-      Mode(ClosureMode), Stats(std::move(ClosureStats)) {
+      Mode(ClosureMode) {
   assert(!Vars.empty() && Vars.size() <= 16 && "pack size out of range");
   Lookup.reserve(Vars.size());
   for (size_t I = 0; I < Vars.size(); ++I)
@@ -45,7 +44,7 @@ Octagon::~Octagon() { memtrack::noteFree(M.size() * sizeof(double)); }
 Octagon::Octagon(const Octagon &O)
     : Vars(O.Vars), Lookup(O.Lookup), N(O.N), M(O.M),
       PivotDirty(O.PivotDirty), StarDirty(O.StarDirty), Closed(O.Closed),
-      Empty(O.Empty), Mode(O.Mode), Stats(O.Stats) {
+      Empty(O.Empty), Mode(O.Mode) {
   memtrack::noteAlloc(M.size() * sizeof(double));
 }
 
@@ -172,10 +171,7 @@ bool Octagon::close() {
   bool Incremental = Mode == OctClosureMode::Incremental &&
                      (PivotDirty | StarDirty) != 0 &&
                      2 * P + 3 * S < 2 * Vars.size();
-  if (Stats) {
-    auto &Counter = Incremental ? Stats->Incremental : Stats->Full;
-    Counter.fetch_add(1, std::memory_order_relaxed);
-  }
+  memtrack::noteClosure(Incremental);
   if (Incremental) {
     uint32_t All = Pivot | StarDirty;
     for (size_t V = 0; V < Vars.size(); ++V) {

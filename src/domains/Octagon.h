@@ -32,8 +32,9 @@
 /// propagating shortest paths only through the dirty rows/columns
 /// (O(d * (2k)^2) for d dirty variables, Miné's incremental closure
 /// generalized to a dirty-set). Both algorithms compute the same canonical
-/// strong closure; which one ran is metered separately so a run's
-/// full-sweep count measures the discipline, not the demand.
+/// strong closure; which one ran is metered separately (into the session's
+/// memtrack::Counter) so a run's full-sweep count measures the discipline,
+/// not the demand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +45,8 @@
 #include "domains/LinearForm.h"
 #include "support/MemoryTracker.h"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,29 +65,13 @@ enum class OctClosureMode : uint8_t {
   Incremental,
 };
 
-/// Per-session closure work meter, shared by every octagon of one analysis
-/// (the DomainRegistry hands one sink to all the states it creates, so
-/// batch runs no longer read each other's counts through a process-wide
-/// atomic). Thread-safe: partition workers close pack copies concurrently.
-struct OctagonClosureStats {
-  std::atomic<uint64_t> Full{0};        ///< Full Floyd-Warshall sweeps.
-  std::atomic<uint64_t> Incremental{0}; ///< Dirty-row/column propagations.
-
-  uint64_t full() const { return Full.load(std::memory_order_relaxed); }
-  uint64_t incremental() const {
-    return Incremental.load(std::memory_order_relaxed);
-  }
-  uint64_t total() const { return full() + incremental(); }
-};
-
 class Octagon {
 public:
   /// Creates the top octagon over \p Cells (the pack, <= 16 variables).
-  /// \p Mode picks the closure algorithm; \p Stats, when non-null, meters
-  /// every closure this octagon (and its copies) performs.
+  /// \p Mode picks the closure algorithm. Every closure is metered into the
+  /// calling thread's ambient memtrack::Counter (the session's work meter).
   explicit Octagon(std::vector<CellId> Cells,
-                   OctClosureMode Mode = OctClosureMode::Incremental,
-                   std::shared_ptr<OctagonClosureStats> Stats = nullptr);
+                   OctClosureMode Mode = OctClosureMode::Incremental);
   ~Octagon();
   Octagon(const Octagon &O);
   Octagon &operator=(const Octagon &) = delete;
@@ -222,7 +205,6 @@ private:
   bool Closed = false;
   bool Empty = false;
   OctClosureMode Mode;
-  std::shared_ptr<OctagonClosureStats> Stats;
 };
 
 } // namespace astral

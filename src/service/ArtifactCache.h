@@ -13,8 +13,9 @@
 /// invalidation fingerprints). Values are the immutable shareable phase
 /// artifacts; a hit hands shared ownership to a fresh session via
 /// adoptFrontend/adoptPacking, so resubmitting an unchanged file skips the
-/// frontend (and the pack construction) entirely while the per-session
-/// mutable state (DomainRegistry, meters) is still rebuilt per request.
+/// frontend, the layout and the packing phase (packs, domain registry,
+/// census) entirely: a packing hit builds nothing. Only the execution
+/// artifact and the work meter are per request.
 ///
 /// Keys embed the schema version, so a cache file of artifacts can never
 /// outlive its build vintage — a bumped ReportSchemaVersion makes every old
@@ -48,15 +49,16 @@ public:
     uint64_t Evictions = 0;
   };
 
-  /// The layout + pack tables of one packingCacheKey, with the frontend
-  /// they were built over. Stored together: the pack tables index into the
-  /// layout's cells, and the layout's cells point at that frontend's types,
-  /// so they only make sense as a triple — the frontend cached under the
-  /// same content's frontendCacheKey may be another, equal build.
+  /// The layout and packing phases of one packingCacheKey, with the
+  /// frontend they were built over. Stored together: the pack tables index
+  /// into the layout's cells, and the layout's cells point at that
+  /// frontend's types, so they only make sense as a triple — the frontend
+  /// cached under the same content's frontendCacheKey may be another, equal
+  /// build.
   struct PackingArtifact {
     std::shared_ptr<const AnalysisSession::FrontendPhase> Frontend;
     std::shared_ptr<const AnalysisSession::LayoutPhase> Layout;
-    std::shared_ptr<const Packing> Packs;
+    std::shared_ptr<const AnalysisSession::PackingPhase> Packs;
   };
 
   explicit ArtifactCache(size_t MaxEntries = 64);

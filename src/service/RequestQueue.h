@@ -11,11 +11,11 @@
 /// thread drains the highest-priority pending jobs — FIFO by arrival among
 /// equals, so the default priority 0 degenerates to the old drain-everything
 /// behavior — flattens them into per-file items, and
-/// runs the items over ONE shared ThreadPoolScheduler — the same
+/// runs the items over ONE shared Scheduler pool — the same
 /// coarse-grained whole-file dispatch AnalysisSession::analyzeBatch uses,
 /// extended across concurrent requests. Each item is its own
-/// AnalysisSession (per-session registry and meters), optionally seeded
-/// from the ArtifactCache; the session's finer parallel grains run inline
+/// AnalysisSession (per-session work meter), optionally seeded from the
+/// ArtifactCache; the session's finer parallel grains run inline
 /// on its worker, so one pool serves every granularity without
 /// oversubscription.
 ///

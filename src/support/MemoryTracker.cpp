@@ -30,5 +30,10 @@ void noteFree(size_t Bytes) {
     C->noteFree(Bytes);
 }
 
+void noteClosure(bool IsIncremental) {
+  if (Counter *C = Ambient)
+    C->noteClosure(IsIncremental);
+}
+
 } // namespace memtrack
 } // namespace astral

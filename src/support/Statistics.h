@@ -7,11 +7,12 @@
 ///
 /// \file
 /// Named counters collected during an analysis run (fixpoint iterations,
-/// widening applications, octagon closures split by discipline —
-/// `analysis.octagon_closures_full` / `analysis.octagon_closures_incremental`
-/// plus their legacy total, alarms by category, ...). The registry is
-/// per-run, not global, so benches and batch analyses can run many analyses
-/// and compare counters side by side without cross-contamination.
+/// widening applications, octagon closures split by discipline
+/// (`analysis.octagon_closures_full` /
+/// `analysis.octagon_closures_incremental`), alarms by category, ...). The
+/// registry is per-run, not global, so benches and batch analyses can run
+/// many analyses and compare counters side by side without
+/// cross-contamination.
 ///
 /// Accumulation is thread-safe: scheduler tasks (partition workers, thread
 /// runs of the interference rounds) bump counters concurrently. Because every

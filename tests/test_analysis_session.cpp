@@ -63,6 +63,12 @@ void expectSameReport(const AnalysisResult &A, const AnalysisResult &B) {
   EXPECT_EQ(A.UsefulOctPacks, B.UsefulOctPacks);
 }
 
+/// The octagon closure counters of \p R: (full, incremental).
+std::pair<uint64_t, uint64_t> closures(const AnalysisResult &R) {
+  return {R.Stats.get("analysis.octagon_closures_full"),
+          R.Stats.get("analysis.octagon_closures_incremental")};
+}
+
 /// Two cell-disjoint octagon clusters and a cross-cluster comparison whose
 /// own block pack exceeds MaxOctPackSize (= 3 below): the guard's reduction
 /// chain spans packs of both clusters, and the clusters exchange facts
@@ -247,25 +253,64 @@ TEST(AnalysisSession, ClosureCountersArePerSession) {
   // inputs, run after run and across a batch.
   AnalysisResult First = Analyzer::analyze(limiterInput());
   AnalysisResult Second = Analyzer::analyze(limiterInput());
-  uint64_t FirstCount = First.Stats.get("analysis.octagon_closures");
-  EXPECT_GT(FirstCount, 0u);
-  EXPECT_EQ(FirstCount, Second.Stats.get("analysis.octagon_closures"));
+  EXPECT_GT(closures(First).first + closures(First).second, 0u);
+  EXPECT_EQ(closures(Second), closures(First));
 
   std::vector<AnalysisInput> Inputs(3, limiterInput());
   Inputs[1].Options.Jobs = 4; // Concurrent batch must not cross-meter.
   std::vector<AnalysisResult> Batch = AnalysisSession::analyzeBatch(Inputs);
   ASSERT_EQ(Batch.size(), 3u);
+  // The limiter partitions no function, so the jobs=4 member runs the
+  // jobs=1 path too: every member meters exactly one file's work.
   for (const AnalysisResult &R : Batch)
-    EXPECT_EQ(R.Stats.get("analysis.octagon_closures"),
-              R.Stats.get("analysis.octagon_closures_full") +
-                  R.Stats.get("analysis.octagon_closures_incremental"));
-  // The sequential batch members meter exactly one file's work each; the
-  // jobs=4 member's count may legitimately differ (a parallel inclusion
-  // check evaluates slots a sequential one short-circuits past), so only
-  // its non-zero-ness is asserted.
-  EXPECT_EQ(Batch[0].Stats.get("analysis.octagon_closures"), FirstCount);
-  EXPECT_EQ(Batch[2].Stats.get("analysis.octagon_closures"), FirstCount);
-  EXPECT_GT(Batch[1].Stats.get("analysis.octagon_closures"), 0u);
+    EXPECT_EQ(closures(R), closures(First));
+}
+
+TEST(AnalysisSession, ReExecutionMetersOnlyItsOwnClosures) {
+  // The meter restarts with every execution attempt: a session re-run
+  // after an execution-only change reports what a fresh session reports,
+  // not the sum of both runs.
+  std::pair<uint64_t, uint64_t> Fresh =
+      closures(Analyzer::analyze(limiterInput()));
+  AnalysisSession S(limiterInput());
+  EXPECT_EQ(closures(S.report()), Fresh);
+
+  AnalyzerOptions O = S.options();
+  O.Jobs = 2;
+  S.setOptions(O);
+  ASSERT_TRUE(S.hasPackingArtifact());
+  ASSERT_FALSE(S.hasExecutionArtifact());
+  EXPECT_EQ(closures(S.report()), Fresh);
+}
+
+TEST(AnalysisSession, AdoptedPackingSharesTheDonorRegistry) {
+  // A daemon packing hit hands the whole packing phase over: recipients
+  // use the donor's registry and build none, and recipients running
+  // concurrently on one pool still meter only their own closures.
+  AnalysisSession Donor(limiterInput());
+  AnalysisResult Solo = Donor.report();
+  const DomainRegistry *Shared = Donor.buildPacks().Registry.get();
+
+  constexpr size_t N = 2;
+  std::vector<std::unique_ptr<AnalysisSession>> Recipients;
+  for (size_t I = 0; I < N; ++I) {
+    auto S = std::make_unique<AnalysisSession>(limiterInput());
+    S->adoptFrontend(Donor.shareFrontend());
+    S->adoptPacking(Donor.shareLayout(), Donor.sharePacking());
+    EXPECT_EQ(S->buildPacks().Registry.get(), Shared);
+    Recipients.push_back(std::move(S));
+  }
+
+  std::shared_ptr<Scheduler> Pool = Scheduler::create(2);
+  std::vector<AnalysisResult> Results(N);
+  Pool->parallelFor(N, [&](size_t I) {
+    Recipients[I]->setScheduler(Pool);
+    Results[I] = Recipients[I]->report();
+  });
+  for (const AnalysisResult &R : Results) {
+    expectSameReport(Solo, R);
+    EXPECT_EQ(closures(R), closures(Solo));
+  }
 }
 
 TEST(AnalysisSession, PeakAbstractBytesArePerSession) {

@@ -188,7 +188,6 @@ TEST(Analyzer, RestrictedPacksStillVerify) {
                             Full.UsefulOctPacks.end());
   auto Restricted = analyzeSource(RateLimiterSrc, [&](AnalyzerOptions &O) {
     O.VolatileRanges["in"] = Interval(-100, 100);
-    O.UseRestrictedPacks = true;
     O.RestrictOctPacks = Useful;
   });
   EXPECT_EQ(alarmsOfKind(Restricted, AlarmKind::ArrayBounds), 0u)

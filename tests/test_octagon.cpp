@@ -374,19 +374,26 @@ TEST(Octagon, IndexOfFlatLookup) {
 }
 
 TEST(Octagon, ClosureStatsSinkSplitsFullAndIncremental) {
-  auto Sink = std::make_shared<OctagonClosureStats>();
-  Octagon O({1, 2, 3, 4}, OctClosureMode::Incremental, Sink);
-  O.meetVarInterval(0, Interval(0, 5)); // Dirty: one variable.
-  O.close();
-  EXPECT_EQ(Sink->incremental(), 1u);
-  EXPECT_EQ(Sink->full(), 0u);
+  // Closures meter into the calling thread's ambient work meter.
+  memtrack::Counter Sink;
+  {
+    memtrack::CounterScope Scope(&Sink);
+    Octagon O({1, 2, 3, 4}, OctClosureMode::Incremental);
+    O.meetVarInterval(0, Interval(0, 5)); // Dirty: one variable.
+    O.close();
+  }
+  EXPECT_EQ(Sink.closuresIncremental(), 1u);
+  EXPECT_EQ(Sink.closuresFull(), 0u);
 
-  auto FullSink = std::make_shared<OctagonClosureStats>();
-  Octagon F({1, 2, 3, 4}, OctClosureMode::Full, FullSink);
-  F.meetVarInterval(0, Interval(0, 5));
-  F.close();
-  EXPECT_EQ(FullSink->incremental(), 0u);
-  EXPECT_EQ(FullSink->full(), 1u);
+  memtrack::Counter FullSink;
+  {
+    memtrack::CounterScope Scope(&FullSink);
+    Octagon F({1, 2, 3, 4}, OctClosureMode::Full);
+    F.meetVarInterval(0, Interval(0, 5));
+    F.close();
+  }
+  EXPECT_EQ(FullSink.closuresIncremental(), 0u);
+  EXPECT_EQ(FullSink.closuresFull(), 1u);
 }
 
 // Differential property: the incremental closure discipline computes the
@@ -406,8 +413,8 @@ TEST_P(OctagonClosureDifferential, IncrementalEqualsFullClosure) {
       std::vector<CellId> Cells;
       for (int I = 0; I < Pack; ++I)
         Cells.push_back(static_cast<CellId>(3 * I + 1));
-      Octagon Full(Cells, OctClosureMode::Full, nullptr);
-      Octagon Inc(Cells, OctClosureMode::Incremental, nullptr);
+      Octagon Full(Cells, OctClosureMode::Full);
+      Octagon Inc(Cells, OctClosureMode::Incremental);
       auto Dyadic = [&]() {
         return static_cast<double>(static_cast<int64_t>(Rng() % 161) - 80) /
                8.0;

@@ -211,8 +211,7 @@ TEST(Packing, RestrictedPacks) {
   ASSERT_GE(Full.Packs.OctPacks.size(), 1u);
   uint32_t Keep = Full.Packs.OctPacks[0].Id;
   PackFixture Restricted = packsOf(Src, [&](AnalyzerOptions &O) {
-    O.UseRestrictedPacks = true;
-    O.RestrictOctPacks = {Keep};
+    O.RestrictOctPacks = std::set<uint32_t>{Keep};
   });
   EXPECT_EQ(Restricted.Packs.OctPacks.size(), 1u);
 }

@@ -14,29 +14,34 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 using namespace astral;
 
-TEST(SequentialScheduler, RunsInIndexOrder) {
-  SequentialScheduler S;
+TEST(SchedulerPool, OneThreadRunsInlineInIndexOrder) {
+  Scheduler S(1);
   EXPECT_EQ(S.concurrency(), 1u);
   std::vector<size_t> Order;
-  S.parallelFor(5, [&](size_t I) { Order.push_back(I); });
+  const std::thread::id Caller = std::this_thread::get_id();
+  S.parallelFor(5, [&](size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Order.push_back(I);
+  });
   EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(SchedulerFactory, JobsSelectImplementation) {
+TEST(SchedulerFactory, JobsSizeThePool) {
   EXPECT_EQ(Scheduler::create(1)->concurrency(), 1u);
   EXPECT_EQ(Scheduler::create(3)->concurrency(), 3u);
   // 0 = hardware concurrency (whatever it is, at least one thread).
   EXPECT_GE(Scheduler::create(0)->concurrency(), 1u);
 }
 
-TEST(ThreadPoolScheduler, EveryIndexRunsExactlyOnce) {
-  ThreadPoolScheduler Pool(4);
+TEST(SchedulerPool, EveryIndexRunsExactlyOnce) {
+  Scheduler Pool(4);
   EXPECT_EQ(Pool.concurrency(), 4u);
   const size_t N = 10000;
   std::vector<std::atomic<unsigned>> Ran(N);
@@ -47,8 +52,8 @@ TEST(ThreadPoolScheduler, EveryIndexRunsExactlyOnce) {
     ASSERT_EQ(Ran[I].load(), 1u) << "index " << I;
 }
 
-TEST(ThreadPoolScheduler, EmptyAndSingletonSpans) {
-  ThreadPoolScheduler Pool(4);
+TEST(SchedulerPool, EmptyAndSingletonSpans) {
+  Scheduler Pool(4);
   std::atomic<size_t> Count{0};
   Pool.parallelFor(0, [&](size_t) { Count.fetch_add(1); });
   EXPECT_EQ(Count.load(), 0u);
@@ -56,8 +61,8 @@ TEST(ThreadPoolScheduler, EmptyAndSingletonSpans) {
   EXPECT_EQ(Count.load(), 1u);
 }
 
-TEST(ThreadPoolScheduler, ExceptionsPropagate) {
-  ThreadPoolScheduler Pool(4);
+TEST(SchedulerPool, ExceptionsPropagate) {
+  Scheduler Pool(4);
   EXPECT_THROW(
       Pool.parallelFor(100,
                        [&](size_t I) {
@@ -67,8 +72,8 @@ TEST(ThreadPoolScheduler, ExceptionsPropagate) {
       std::runtime_error);
 }
 
-TEST(ThreadPoolScheduler, FirstErrorByIndexWins) {
-  ThreadPoolScheduler Pool(4);
+TEST(SchedulerPool, FirstErrorByIndexWins) {
+  Scheduler Pool(4);
   // Several tasks throw; the surfaced exception must be the smallest
   // index's, independent of thread timing.
   for (int Round = 0; Round < 20; ++Round) {
@@ -84,8 +89,8 @@ TEST(ThreadPoolScheduler, FirstErrorByIndexWins) {
   }
 }
 
-TEST(ThreadPoolScheduler, PoolStaysUsableAfterException) {
-  ThreadPoolScheduler Pool(4);
+TEST(SchedulerPool, PoolStaysUsableAfterException) {
+  Scheduler Pool(4);
   EXPECT_THROW(Pool.parallelFor(
                    8, [](size_t) { throw std::runtime_error("boom"); }),
                std::runtime_error);
@@ -94,8 +99,8 @@ TEST(ThreadPoolScheduler, PoolStaysUsableAfterException) {
   EXPECT_EQ(Sum.load(), 5050u);
 }
 
-TEST(ThreadPoolScheduler, NestedParallelForRunsInline) {
-  ThreadPoolScheduler Pool(4);
+TEST(SchedulerPool, NestedParallelForRunsInline) {
+  Scheduler Pool(4);
   const size_t Outer = 16, Inner = 32;
   std::vector<std::atomic<unsigned>> Ran(Outer * Inner);
   Pool.parallelFor(Outer, [&](size_t O) {
@@ -109,8 +114,8 @@ TEST(ThreadPoolScheduler, NestedParallelForRunsInline) {
     ASSERT_EQ(Ran[I].load(), 1u) << "slot " << I;
 }
 
-TEST(ThreadPoolScheduler, ReusedAcrossManyPhases) {
-  ThreadPoolScheduler Pool(3);
+TEST(SchedulerPool, ReusedAcrossManyPhases) {
+  Scheduler Pool(3);
   uint64_t Expected = 0;
   std::atomic<uint64_t> Total{0};
   for (size_t Phase = 0; Phase < 200; ++Phase) {
@@ -124,7 +129,7 @@ TEST(ThreadPoolScheduler, ReusedAcrossManyPhases) {
 
 TEST(SchedulerScope, InstallsAndRestoresAmbient) {
   EXPECT_EQ(Scheduler::ambient(), nullptr);
-  SequentialScheduler A, B;
+  Scheduler A(1), B(1);
   {
     SchedulerScope SA(&A);
     EXPECT_EQ(Scheduler::ambient(), &A);
@@ -138,7 +143,7 @@ TEST(SchedulerScope, InstallsAndRestoresAmbient) {
 }
 
 TEST(SchedulerScope, WorkersHaveNoAmbientScheduler) {
-  ThreadPoolScheduler Pool(4);
+  Scheduler Pool(4);
   SchedulerScope Scope(&Pool);
   std::atomic<int> Violations{0};
   Pool.parallelFor(64, [&](size_t) {

@@ -74,7 +74,10 @@ const std::vector<MatrixCase> &matrix() {
        [](AnalyzerOptions &O) { O.MaxBoolsPerTreePack += 1; },
        StaleFrom::Packing},
       {"restricted packs",
-       [](AnalyzerOptions &O) { O.UseRestrictedPacks = !O.UseRestrictedPacks; },
+       [](AnalyzerOptions &O) {
+         // Unrestricted -> restricted to no pack: an empty but engaged set.
+         O.RestrictOctPacks = std::set<uint32_t>{};
+       },
        StaleFrom::Packing},
       {"jobs", [](AnalyzerOptions &O) { O.Jobs = O.Jobs == 4 ? 2 : 4; },
        StaleFrom::Execution},
