@@ -10,7 +10,10 @@
 //     from over-shooting to a much larger threshold;
 //   - the floating iteration perturbation (7.1.4) guards termination.
 // We analyze the integrator/cascade idioms under each strategy and report
-// alarms, inferred bounds and iteration counts.
+// alarms, inferred bounds and iteration counts. Two counter loops then show
+// whether threshold widening climbs the whole ladder: the x+clock offsets
+// of the clocked domain (6.2.1) stop one rung above x + ClockMax only when
+// they are reduced against x and the clock.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +45,22 @@ const char *CascadeSrc =
     "  return 0;\n"
     "}";
 
+/// A counter loop with no clock tick: only the guard bounds i and i+clock.
+const char *TicklessCounterSrc =
+    "int k;\nint main(void) { int i; i = 0; "
+    "while (i < 3) { i = i + 1; } k = i; return 0; }";
+
+/// The Sect. 6.2.1 event counter in a clocked main loop.
+const char *ClockedCounterSrc =
+    "volatile int ev;\nint cnt;\n"
+    "int main(void) {\n"
+    "  while (1) {\n"
+    "    if (ev > 0) { cnt = cnt + 1; }\n"
+    "    __astral_wait();\n"
+    "  }\n"
+    "  return 0;\n"
+    "}";
+
 double boundOf(const AnalysisResult &R, const char *Name) {
   for (const auto &[N, I] : R.VariableRanges)
     if (N == Name)
@@ -56,6 +75,7 @@ AnalysisResult run(const char *Src,
   In.Options.VolatileRanges["err"] = Interval(-10, 10);
   In.Options.VolatileRanges["g"] = Interval(-1, 1);
   In.Options.VolatileRanges["h"] = Interval(-1, 1);
+  In.Options.VolatileRanges["ev"] = Interval(0, 1);
   In.Options.ClockMax = 1e6;
   if (Tweak)
     Tweak(In.Options);
@@ -108,10 +128,28 @@ int main() {
                 static_cast<unsigned long long>(
                     R.Stats.get("fixpoint.iterations")));
   }
+
+  std::puts("counter loops (clocked domain, default strategy):");
+  std::printf("  %-34s %8s %12s %12s\n", "loop", "alarms", "iterations",
+              "widenings");
+  const std::pair<const char *, const char *> Counters[] = {
+      {"tick-less counter (i < 3)", TicklessCounterSrc},
+      {"clocked main-loop counter", ClockedCounterSrc},
+  };
+  for (const auto &[Name, Src] : Counters) {
+    AnalysisResult R = run(Src, nullptr);
+    std::printf("  %-34s %8zu %12llu %12llu\n", Name, R.alarmCount(),
+                static_cast<unsigned long long>(
+                    R.Stats.get("fixpoint.iterations")),
+                static_cast<unsigned long long>(
+                    R.Stats.get("fixpoint.widenings")));
+  }
   hr();
   std::puts("expected shape: plain widening alarms (bound = float max); "
             "thresholds prove");
   std::puts("boundedness; delayed widening gives the same-or-tighter bound "
-            "on the cascade.");
+            "on the cascade;");
+  std::puts("the counters stabilize within a few widenings instead of "
+            "climbing every rung.");
   return 0;
 }

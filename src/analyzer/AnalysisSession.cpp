@@ -612,12 +612,12 @@ AnalysisResult AnalysisSession::report() {
   R.NumCells = L.NumCells;
   R.ExpandedArrayCells = L.ExpandedArrayCells;
 
-  R.PackStats = buildPacks().PackCensus;
-
   const ExecutionPhase &E = runAbstractExecution();
-  // The budget ladder may have rebuilt the packing phase: read it afresh.
+  // The budget ladder may have rebuilt the packing phase: read it afresh,
+  // so a degraded report counts the packs its analysis actually ran with.
   const PackingPhase &P = buildPacks();
   Timer AssemblyTimer; // Every phase timed itself; this times the rest.
+  R.PackStats = P.PackCensus;
   R.Alarms = E.Alarms;
   R.Stats = E.Stats;
   R.AnalysisSeconds = E.AnalysisSeconds;

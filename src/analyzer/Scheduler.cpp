@@ -178,6 +178,10 @@ void Scheduler::workerMain() {
       SeenSeq = BatchSeq;
       B = Current;
     }
+    // Pass the wake-up on: one unclaimed task is this worker's, and if a
+    // second is left, the next sleeping worker gets it.
+    if (B->Next.load(std::memory_order_relaxed) + 1 < B->N)
+      WorkReady.notify_one();
     runTasks(*B);
   }
 }
@@ -204,7 +208,11 @@ void Scheduler::parallelFor(size_t N,
     Current = B;
     ++BatchSeq;
   }
-  WorkReady.notify_all();
+  // Wake one worker; it passes the wake-up on while tasks are left over
+  // (workerMain). A batch of short tasks, most of which the submitter runs
+  // before a worker is up, then costs one wake-up instead of one per
+  // worker, each an interprocessor interrupt sent from the submitter's CPU.
+  WorkReady.notify_one();
 
   // The submitting thread works too, then blocks until stragglers finish.
   runTasks(*B);

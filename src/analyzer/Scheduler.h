@@ -12,8 +12,10 @@
 /// threads. It is a persistent worker pool, reused across analysis phases
 /// and across the files of a batch. The submitting thread participates in
 /// the batch, so parallelFor(N, F) never deadlocks even when the pool is
-/// saturated. A one-thread Scheduler (the default, --jobs=1) spawns no
-/// worker and runs every task inline, in index order.
+/// saturated. Workers are woken one at a time: the submitter wakes one,
+/// and each woken worker wakes the next while tasks remain unclaimed. A
+/// one-thread Scheduler (the default, --jobs=1) spawns no worker and runs
+/// every task inline, in index order.
 ///
 /// Scheduler contract (what makes `--jobs=N` byte-identical to sequential):
 ///   - Tasks of one parallelFor must be independent: they may not mutate

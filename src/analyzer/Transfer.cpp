@@ -744,12 +744,14 @@ AbstractEnv Transfer::wait(AbstractEnv Env) {
   Env.setClock(NewClock);
   if (!Opts.domainEnabled(DomainKind::Clocked))
     return Env;
-  // Shift every tracked offset: x - clock decreases, x + clock increases.
+  // Shift every tracked offset: x - clock decreases, x + clock increases;
+  // then reduce it against the value and the new clock.
   std::vector<std::pair<CellId, ScalarAbs>> Updates;
   Env.forEachCell([&](CellId C, const ScalarAbs &S) {
     if (S.Clk.isTop())
       return;
-    Updates.push_back({C, ScalarAbs{S.Itv, S.Clk.afterTick()}});
+    Updates.push_back(
+        {C, ScalarAbs{S.Itv, S.Clk.afterTick().reduce(S.Itv, NewClock)}});
   });
   for (auto &[C, S] : Updates)
     Env.setCell(C, S);
@@ -845,7 +847,7 @@ AbstractEnv Transfer::guard(AbstractEnv Env, const Expr *Cond,
                               : Obs.meet(Interval::point(0));
         if (R.isBottom())
           return AbstractEnv::bottom();
-        Env.setCell(C, ScalarAbs{R, S->Clk});
+        Env.setCell(C, ScalarAbs{R, S->Clk.reduce(R, Env.clock())});
       }
       // A shared cell seeds no relational facts (stale-relation leak).
       if (SharedC)
@@ -955,7 +957,7 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
       return;
     }
     if (R != S->Itv)
-      Env.setCell(C, ScalarAbs{R, S->Clk});
+      Env.setCell(C, ScalarAbs{R, S->Clk.reduce(R, Env.clock())});
   };
   RefineLoad(A, IB, /*IsLeft=*/true);
   if (Env.isBottom())

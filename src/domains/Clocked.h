@@ -14,7 +14,14 @@
 /// incremented at most once per tick keep a finite x - clock bound even when
 /// plain interval widening would lose them; the reduction
 ///     v  ∩  (v- + clock)  ∩  (v+ - clock)
-/// then bounds the counter by the clock bound.
+/// then bounds the counter by the clock bound (reduceValue, applied at every
+/// load). The reduction also runs the other way (reduce):
+///     v- ∩ (v - clock),   v+ ∩ (v + clock)
+/// whenever a cell's interval narrows (guards, channel facts) or the clock
+/// moves (the tick of `wait`). Without it a clamped cell keeps the
+/// offsets of its unclamped assignment, and threshold widening climbs them
+/// rung by rung to infinity; with it they stop one rung above v ± the
+/// clock bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,6 +99,18 @@ struct Clocked {
     // An empty meet here means the offsets were inconsistent with the value
     // interval, which only happens transiently; keep V (sound).
     return R.isBottom() ? V : R;
+  }
+
+  /// The offsets implied by the value and the clock interval: the meet of
+  /// (v-, v+) with (v - clock, v + clock). A top triple tracks nothing and
+  /// stays top; an empty meet keeps the offsets, as in reduceValue.
+  Clocked reduce(const Interval &V, const Interval &ClockItv) const {
+    if (isTop())
+      return *this;
+    Clocked R = meet(fromValue(V, ClockItv));
+    if (R.MinusClk.isBottom() || R.PlusClk.isBottom())
+      return *this;
+    return R;
   }
 };
 

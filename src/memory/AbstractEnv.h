@@ -78,7 +78,8 @@ public:
   }
   void setCell(CellId C, const ScalarAbs &V) { Cells = Cells.set(C, V); }
   /// Meets \p I into cell \p C's interval — the reduction-application rule
-  /// shared by the channel folds of the transfer sweeps. Missing cells and
+  /// shared by the channel folds of the transfer sweeps — and reduces the
+  /// cell's clock offsets against the narrowed interval. Missing cells and
   /// bottom meets (transient inconsistencies between a domain's published
   /// fact and the cell value) keep the cell unchanged, which is sound.
   /// Returns true when the cell actually tightened.
@@ -89,7 +90,7 @@ public:
     Interval Meet = S->Itv.meet(I);
     if (Meet.isBottom() || Meet == S->Itv)
       return false;
-    setCell(C, ScalarAbs{Meet, S->Clk});
+    setCell(C, ScalarAbs{Meet, S->Clk.reduce(Meet, ClockItv)});
     return true;
   }
   template <typename FnT> void forEachCell(FnT &&F) const {

@@ -302,6 +302,31 @@ TEST(Governance, BudgetDegradationIsDeterministicAcrossDispatchMatrix) {
   }
 }
 
+TEST(Governance, DegradedReportCountsThePacksItRanWith) {
+  // The drop-* rungs rebuild the packing phase without the dropped domains;
+  // the report's pack census must come from the packs the analysis ran
+  // with, which equal those of a run with those domains switched off.
+  AnalysisInput Base = familyInput(2000, 1);
+  AnalysisInput Budgeted = Base;
+  Budgeted.Options.MemoryBudgetBytes = 500000;
+  AnalysisResult Degraded = Analyzer::analyze(Budgeted);
+  ASSERT_TRUE(Degraded.FrontendOk) << Degraded.FrontendErrors;
+  const std::vector<std::string> Dropped = {"drop-ellipsoid", "drop-tree",
+                                            "drop-octagon"};
+  ASSERT_EQ(Degraded.DegradeSteps, Dropped);
+
+  AnalysisInput Plain = Base;
+  Plain.Options.Domains =
+      DomainSet::intervalOnly().enable(DomainKind::Clocked);
+  AnalysisResult Ref = Analyzer::analyze(Plain);
+  ASSERT_TRUE(Ref.FrontendOk) << Ref.FrontendErrors;
+  for (DomainKind K :
+       {DomainKind::Octagon, DomainKind::DecisionTree, DomainKind::Ellipsoid})
+    EXPECT_EQ(Degraded.packCount(K), Ref.packCount(K)) << domainKindName(K);
+  EXPECT_EQ(Degraded.packCount(DomainKind::Octagon), 0u);
+  EXPECT_EQ(Degraded.alarmCount(), Ref.alarmCount());
+}
+
 TEST(Governance, LadderExhaustionWaivesAndStaysSound) {
   AnalysisInput In = familyInput(800, 11);
   In.Options.MemoryBudgetBytes = 1; // Impossible; every rung must fire.

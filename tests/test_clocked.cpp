@@ -37,6 +37,32 @@ TEST(Clocked, FromValueAndReduce) {
   EXPECT_GE(V.Lo, -5.0);
 }
 
+TEST(Clocked, ReduceMeetsOffsetsWithValueAndClock) {
+  // A clamped cell x in [-500, 500] whose offsets still hold the unclamped
+  // assignment: x - clock in v - clock, x + clock in v + clock.
+  Clocked C{Interval(-1e9, 1e9), Interval(-1e9, 1e9)};
+  Clocked R = C.reduce(Interval(-500, 500), Interval(1, 1e6));
+  EXPECT_EQ(R.MinusClk, Interval(-500 - 1e6, 499));
+  EXPECT_EQ(R.PlusClk, Interval(-499, 500 + 1e6));
+  // Already tighter offsets stay as they are.
+  Clocked Tight{Interval(0, 0), Interval(2, 2)};
+  EXPECT_EQ(Tight.reduce(Interval(1, 1), Interval(1, 1)), Tight);
+}
+
+TEST(Clocked, ReduceKeepsTopTop) {
+  // A top triple tracks nothing (floats, cells the domain never saw).
+  Clocked R = Clocked::top().reduce(Interval(0, 1), Interval(0, 10));
+  EXPECT_TRUE(R.isTop());
+}
+
+TEST(Clocked, ReduceKeepsOffsetsOnEmptyMeet) {
+  // Offsets inconsistent with the value: keep them, as reduceValue keeps
+  // the value.
+  Clocked C{Interval(100, 200), Interval(100, 200)};
+  Clocked R = C.reduce(Interval::point(0), Interval::point(0));
+  EXPECT_EQ(R, C);
+}
+
 TEST(Clocked, AfterTick) {
   Clocked C{Interval(0, 0), Interval(0, 0)};
   Clocked T = C.afterTick();

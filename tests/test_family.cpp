@@ -125,3 +125,17 @@ TEST(Family, DeadTablesOptimizedAway) {
   EXPECT_GT(R.Stats.get("frontend.globals_deleted"), 0u)
       << "unused hardware tables must be deleted (Sect. 5.1)";
 }
+
+TEST(Family, MainLoopStopsBelowTheLadderTop) {
+  // Once the clock settles, the clamped cells' x+clock offsets are reduced
+  // against the cell and the clock at every guard and tick, so the main
+  // loop stops widening one rung above x + ClockMax instead of climbing
+  // every rung of the threshold ladder to +inf.
+  GeneratorConfig C{/*TargetLines=*/1000, /*Seed=*/1, 0};
+  FamilyProgram FP = generateFamilyProgram(C);
+  AnalysisResult R = analyzeFamily(FP);
+  ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+  EXPECT_TRUE(R.HasMainLoop);
+  EXPECT_LE(R.Stats.get("fixpoint.widenings"), 30u);
+  EXPECT_EQ(R.alarmCount(), 0u);
+}

@@ -189,6 +189,19 @@ TEST(Iterator, SynchronousLoopWithClock) {
   EXPECT_TRUE(R.HasMainLoop);
 }
 
+TEST(Iterator, GuardReducesClockOffsets) {
+  // A loop with no tick: the guard i < 3 bounds i, and reducing i+clock
+  // against i and the clock stops the offsets at once instead of letting
+  // threshold widening climb them rung by rung to +inf.
+  AnalysisResult R = analyzeSource(
+      "int k;\nint main(void) { int i; i = 0; "
+      "while (i < 3) { i = i + 1; } k = i; return 0; }");
+  ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+  EXPECT_LE(R.Stats.get("fixpoint.iterations"), 5u);
+  EXPECT_NE(R.MainLoopInvariant.find("i+clock in [1, 3]"), std::string::npos)
+      << R.MainLoopInvariant;
+}
+
 TEST(Iterator, CounterOverflowsWithoutClock) {
   AnalysisResult R = analyzeSource(
       "volatile int ev;\nint cnt; int mon;\n"

@@ -12,6 +12,7 @@
 #include "analyzer/Scheduler.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -50,6 +51,28 @@ TEST(SchedulerPool, EveryIndexRunsExactlyOnce) {
   });
   for (size_t I = 0; I < N; ++I)
     ASSERT_EQ(Ran[I].load(), 1u) << "index " << I;
+}
+
+TEST(SchedulerPool, WakeUpsReachEveryWorker) {
+  // Workers wake one another in a chain; a batch with a task per thread
+  // must still run on all of them at once. Each task waits (boundedly)
+  // until every task has started.
+  Scheduler Pool(4);
+  const size_t N = Pool.concurrency();
+  for (int Round = 0; Round < 20; ++Round) {
+    std::atomic<size_t> Started{0};
+    std::atomic<size_t> SawAll{0};
+    Pool.parallelFor(N, [&](size_t) {
+      Started.fetch_add(1);
+      auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (Started.load() < N && std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::yield();
+      if (Started.load() == N)
+        SawAll.fetch_add(1);
+    });
+    ASSERT_EQ(SawAll.load(), N) << "round " << Round;
+  }
 }
 
 TEST(SchedulerPool, EmptyAndSingletonSpans) {

@@ -12,7 +12,12 @@
 
 #include "TestUtil.h"
 
+#include "analyzer/SpecDirectives.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 using namespace astral;
 using testutil::alarmsOfKind;
@@ -129,6 +134,118 @@ TEST(Soundness, RangesContainConcreteRun) {
     ASSERT_TRUE(YRange.contains(Y)) << "concrete y=" << Y << " escapes "
                                     << YRange.toString();
   }
+}
+
+TEST(Soundness, FlightControlIntegratorContainsWorstCaseRun) {
+  // The reference member of examples/flight_control.cpp (the flight_control
+  // golden), driven concretely with the autopilot engaged. The integrator is
+  // a convex mix of 0 and past err values, and |err| <= 60 + 15 * sum|h_k|
+  // ~= 199.1, where h is the impulse response of the stick filter
+  // X' = 1.5 X - 0.7 Y + t (sum|h_k| ~= 9.27). The drives are the sign of h,
+  // time-reversed so that X reaches sum|h_k| at the end of every window
+  // (the err supremum), and a constant stick, the integrator's own worst
+  // case (the filter chain's impulse response is positive), each with
+  // sensed_pitch at -60 and mirrored at +60.
+  const char *Src = R"(
+    /* @astral volatile stick -1 1
+       @astral volatile sensed_pitch -60 60
+       @astral volatile autopilot_on 0 1
+       @astral volatile gain_sel 0 3
+       @astral clock-max 3.6e6
+       @astral partition select_gain */
+    volatile float stick;
+    volatile float sensed_pitch;
+    volatile int   autopilot_on;
+    volatile int   gain_sel;
+    float X; float Y;
+    float filtered;
+    float integrator;
+    float command;
+    int   engaged_ticks;
+    float select_gain(void) {
+      float g = 0.25f;
+      if (gain_sel == 1) { g = 0.5f; }
+      if (gain_sel == 2) { g = 0.75f; }
+      if (gain_sel == 3) { g = 1.0f; }
+      return g;
+    }
+    void filter_step(void) {
+      float t = stick;
+      float Xn = 1.5f * X - 0.7f * Y + t;
+      Y = X;
+      X = Xn;
+      filtered = 0.5f * X;
+    }
+    int main(void) {
+      while (1) {
+        float err;
+        float g;
+        filter_step();
+        err = filtered * 30.0f - sensed_pitch;
+        g = select_gain();
+        if (autopilot_on != 0) {
+          integrator = integrator * 0.99f + err * 0.01f;
+          engaged_ticks = engaged_ticks + 1;
+        } else {
+          integrator = 0.0f;
+          engaged_ticks = 0;
+        }
+        command = g * (err + integrator);
+        if (command > 25.0f)  { command = 25.0f; }
+        if (command < -25.0f) { command = -25.0f; }
+        __astral_assert(command <= 25.0f);
+        __astral_wait();
+      }
+      return 0;
+    }
+  )";
+  auto R = analyzeSource(Src, [&](AnalyzerOptions &O) {
+    ASSERT_TRUE(applySpecDirectives(Src, O).empty());
+  });
+  ASSERT_TRUE(R.FrontendOk) << R.FrontendErrors;
+  Interval Integ = rangeOf(R, "integrator");
+  ASSERT_FALSE(Integ.isBottom());
+
+  // The filter's impulse response, and its signs time-reversed over a
+  // window long enough for h to decay (|poles| = sqrt(0.7)).
+  const int Window = 80;
+  std::vector<float> SignH(Window);
+  double H1 = 0.0, H0 = 1.0, SumAbsH = 0.0;
+  for (int K = 0; K < Window; ++K) {
+    SumAbsH += std::fabs(H0);
+    SignH[Window - 1 - K] = H0 >= 0 ? 1.0f : -1.0f;
+    double Next = 1.5 * H0 - 0.7 * H1;
+    H1 = H0;
+    H0 = Next;
+  }
+  ASSERT_NEAR(SumAbsH, 9.27, 0.01);
+
+  const int Ticks = 3000;
+  double MaxErr = 0.0, MaxInteg = 0.0;
+  for (bool ConstStick : {false, true}) {
+    for (float Side : {1.0f, -1.0f}) {
+      float X = 0.0f, Y = 0.0f, Integrator = 0.0f;
+      for (int Tick = 0; Tick < Ticks; ++Tick) {
+        float Stick = Side * (ConstStick ? 1.0f : SignH[Tick % Window]);
+        float SensedPitch = -60.0f * Side;
+        float T = Stick;
+        float Xn = 1.5f * X - 0.7f * Y + T;
+        Y = X;
+        X = Xn;
+        float Filtered = 0.5f * X;
+        float Err = Filtered * 30.0f - SensedPitch;
+        Integrator = Integrator * 0.99f + Err * 0.01f;
+        MaxErr = std::max(MaxErr, std::fabs(double(Err)));
+        MaxInteg = std::max(MaxInteg, std::fabs(double(Integrator)));
+        ASSERT_TRUE(Integ.contains(Integrator))
+            << "concrete integrator=" << Integrator << " at tick " << Tick
+            << " escapes " << Integ.toString();
+      }
+    }
+  }
+  // The drives reach the err supremum and the integrator's worst case.
+  EXPECT_GT(MaxErr, 199.0);
+  EXPECT_GT(MaxInteg, 134.9);
 }
 
 TEST(Soundness, CounterRangeContainsConcrete) {
