@@ -478,16 +478,13 @@ const AnalysisSession::ExecutionPhase &AnalysisSession::runAbstractExecution() {
     return *Exec;
 
   // Resource governance. An injected token (the daemon: deadline anchored
-  // at request arrival) wins; otherwise a run with a deadline or budget
-  // builds its own, anchored here. The budget is always armed against this
-  // session's meter — it is the deterministic trigger the polls read.
+  // at request arrival) wins; otherwise the session builds its own, with
+  // the deadline (if any) anchored here. The budget is always armed against
+  // this session's meter — it is the deterministic trigger the polls read.
   cancel::Token LocalTok;
-  cancel::Token *Tok = ExternalCancel.get();
-  if (!Tok && (In.Options.DeadlineMs || In.Options.MemoryBudgetBytes)) {
+  if (!ExternalCancel)
     LocalTok.setDeadlineMs(In.Options.DeadlineMs);
-    Tok = &LocalTok;
-  }
-  cancel::TokenScope TS(Tok);
+  cancel::Token &Tok = ExternalCancel ? *ExternalCancel : LocalTok;
 
   // The budget-degradation ladder: each OverBudget unwind sheds one step of
   // precision (applyDegradeStep) and restarts the phase — setOptions
@@ -502,10 +499,9 @@ const AnalysisSession::ExecutionPhase &AnalysisSession::runAbstractExecution() {
   std::vector<std::string> Steps;
   bool Waived = false;
   for (;;) {
-    if (Tok)
-      Tok->setBudget(Waived ? 0 : In.Options.MemoryBudgetBytes, &Mem);
+    Tok.setBudget(Waived ? 0 : In.Options.MemoryBudgetBytes, &Mem);
     try {
-      ExecutionPhase E = executeOnce();
+      ExecutionPhase E = executeOnce(Tok);
       if (In.Options.MemoryBudgetBytes) {
         E.Stats.set("analysis.degraded", Steps.size());
         E.Stats.set("analysis.budget_waived", Waived ? 1 : 0);
@@ -529,10 +525,11 @@ const AnalysisSession::ExecutionPhase &AnalysisSession::runAbstractExecution() {
   }
 }
 
-AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
-  // Fail fast on an already-cancelled/expired token — a loop-free program
-  // would otherwise never reach a fixpoint-head poll.
-  cancel::poll();
+AnalysisSession::ExecutionPhase
+AnalysisSession::executeOnce(const cancel::Token &Stop) {
+  // Fail fast on an already-expired token — a loop-free program would
+  // otherwise never reach a fixpoint-head poll.
+  Stop.poll();
   const PackingPhase &P = buildPacks();
   ExecutionPhase E;
 
@@ -545,16 +542,17 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   Mem.resetRun();
   AlarmSet Alarms;
 
-  // The scheduler is ambient for the whole phase: the Iterator's partition
-  // dispatch and the interference rounds fan out over it. Except when this
-  // session already runs *inside* a pool task (a batch file on a worker):
-  // nested parallelFor would only run inline, so installing the pool there
-  // would pay the staging overhead for nothing.
-  SchedulerScope Scope(Scheduler::inWorkerTask() ? nullptr
-                                                 : schedulerForRun());
+  // The Iterator's partition dispatch and the interference rounds fan out
+  // over the context's pool. None when this session already runs *inside*
+  // a pool task (a batch file on a worker), where nested parallelFor would
+  // only run inline and staging for it would be paid for nothing, and none
+  // for a one-thread pool.
+  Scheduler *Pool = Scheduler::inWorkerTask() ? nullptr : schedulerForRun();
+  if (Pool && Pool->concurrency() < 2)
+    Pool = nullptr;
   Timer AnalysisTimer;
   const ExecutionContext Ctx(*Frontend->Program, *Layout->Layout, *P.Registry,
-                             In.Options);
+                             In.Options, Pool, Stop);
   if (In.Options.Threads.empty()) {
     Iterator Iter(Ctx, E.Stats, Alarms);
     E.Final = Iter.run();
@@ -564,7 +562,7 @@ AnalysisSession::ExecutionPhase AnalysisSession::executeOnce() {
   } else {
     // Threaded program: the interference fixpoint rounds of
     // concurrency::ConcurrentAnalysis replace the single sequential run.
-    // Per-thread analyses fan out over the same ambient scheduler; every
+    // Per-thread analyses fan out over the context's pool; every
     // merge is in thread-declaration order, so the report stays
     // byte-identical across --jobs.
     concurrency::ConcurrentAnalysis CA(Ctx, E.Stats);
@@ -690,8 +688,10 @@ AnalysisSession::analyzeBatch(const std::vector<AnalysisInput> &Inputs) {
   std::shared_ptr<Scheduler> Pool = Scheduler::create(Jobs);
 
   // Whole files are the tasks (Monniaux's coarse-grained dispatch); a
-  // file's own partition dispatch runs inline on its worker, so one pool
-  // serves both granularities without oversubscription.
+  // file's own partition dispatch and thread rounds run inline on its
+  // worker, so one pool serves both granularities without
+  // oversubscription. (A one-file batch runs on this thread, and its
+  // finer grains fan out over the pool.)
   Pool->parallelFor(Inputs.size(), [&](size_t I) {
     AnalysisSession S(Inputs[I]);
     S.setScheduler(Pool);

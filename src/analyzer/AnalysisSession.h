@@ -34,14 +34,15 @@
 /// so concurrent sessions sharing artifacts never share meters.
 ///
 /// Execution policy: AnalyzerOptions::Jobs selects the Scheduler
-/// (Scheduler.h) installed for the abstract-execution phase. The trace
-/// partitions of a straight-line `If` (no loop, call or jump in either
-/// branch) inside an `@astral partition` function and the per-thread runs
-/// of an interference round then fan out over it, and
-/// analyzeBatch() schedules whole files across the same pool. The analysis
-/// semantics — alarms, ranges, invariants, pack census, everything the
-/// report layer prints — are byte-identical for every Jobs value: every
-/// worker's effects are merged in partition (or thread-declaration) order.
+/// (Scheduler.h) that each execution attempt puts in its ExecutionContext,
+/// together with the attempt's cancel::Token. The trace partitions of a
+/// straight-line `If` (no loop, call or jump in either branch) inside an
+/// `@astral partition` function and the per-thread runs of an interference
+/// round fan out over that pool, and analyzeBatch() schedules whole files
+/// across the same pool. The analysis semantics — alarms, ranges,
+/// invariants, pack census, everything the report layer prints — are
+/// byte-identical for every Jobs value: every worker's effects are merged
+/// in partition (or thread-declaration) order.
 /// Work-metering figures are not: the dispatch counters count only what
 /// actually fanned out. The octagon closure counts and the peak abstract
 /// bytes come from one per-session meter (a memtrack::Counter that the
@@ -179,13 +180,12 @@ public:
   /// session builds its own from options().Jobs.
   void setScheduler(std::shared_ptr<Scheduler> S);
 
-  /// Injects an externally-owned cancellation token, installed as the
-  /// ambient cancel::Token for the abstract-execution phase. The serve
-  /// daemon anchors a request's deadline at arrival and hands each
-  /// per-file session its token here; without one, the session builds its
-  /// own from options().DeadlineMs / MemoryBudgetBytes, anchored at phase
-  /// start. The session arms the token's byte budget against its own
-  /// meter either way.
+  /// Injects an externally-owned token, the stop token of every
+  /// abstract-execution attempt. The serve daemon anchors a request's
+  /// deadline at arrival and hands each per-file session its token here;
+  /// without one, the session builds its own from options().DeadlineMs,
+  /// anchored at phase start. The session arms the token's byte budget
+  /// against its own meter either way.
   void setCancelToken(std::shared_ptr<cancel::Token> T);
 
   // -- Phases (each runs missing predecessors; artifacts are memoized) -----
@@ -233,9 +233,9 @@ public:
 private:
   Scheduler *schedulerForRun();
   /// One attempt of the abstract-execution phase under the current options.
-  /// Unwinds via cancel::AnalysisCancelled when the ambient token fires;
+  /// Unwinds via cancel::AnalysisCancelled when \p Stop fires;
   /// runAbstractExecution wraps it in the budget-degradation retry loop.
-  ExecutionPhase executeOnce();
+  ExecutionPhase executeOnce(const cancel::Token &Stop);
 
   AnalysisInput In;
   std::shared_ptr<Scheduler> Sched;     ///< Owned or injected pool.

@@ -321,15 +321,12 @@ void printUsage(std::FILE *Out) {
       "                               arrival and answers a structured\n"
       "                               `timeout` error while continuing to\n"
       "                               serve.\n"
-      "  --memory-budget-mb=<n>       abstract-state byte budget in MiB\n"
-      "                               (0 = none, the default), checked\n"
-      "                               against the session's deterministic\n"
-      "                               byte meter — never wall clock — so\n"
-      "                               budget outcomes are byte-identical\n"
-      "                               for every --jobs value.\n"
-      "  --memory-budget-bytes=<n>    same budget with byte granularity\n"
-      "                               (test harnesses; overrides/overridden\n"
-      "                               by -mb, last one wins).\n"
+      "  --memory-budget-bytes=<n>    abstract-state byte budget (0 = none,\n"
+      "                               the default), checked against the\n"
+      "                               session's deterministic byte meter —\n"
+      "                               never wall clock — so budget\n"
+      "                               outcomes are byte-identical for\n"
+      "                               every --jobs value.\n"
       "  --on-budget=<mode>           what crossing the budget does:\n"
       "                               'degrade' (default) sheds precision\n"
       "                               deterministically (drop ellipsoid ->\n"
@@ -494,13 +491,7 @@ const std::vector<Option> &options() {
                   ":"),
       unsignedOption("deadline-ms", "", 0, U32,
                      [](AnalyzerOptions &O, uint64_t N) { O.DeadlineMs = N; }),
-      unsignedOption("memory-budget-mb", "", 0, U32,
-                     [](AnalyzerOptions &O, uint64_t N) {
-                       O.MemoryBudgetBytes = N << 20;
-                     }),
-      // Byte-granular sibling of --memory-budget-mb, for test harnesses and
-      // chaos scripts that pin budgets below (or between) whole MiB.
-      unsignedOption("memory-budget-bytes", "", 0, U32,
+      unsignedOption("memory-budget-bytes", "", 0, UINT64_MAX,
                      [](AnalyzerOptions &O, uint64_t N) {
                        O.MemoryBudgetBytes = N;
                      }),

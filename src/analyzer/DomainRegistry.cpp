@@ -220,18 +220,7 @@ void refineLeafNums(const DomainEvalContext &Ctx, const DecisionTree &Tree,
     }
     if (!isComparison(Cond->BO))
       return;
-    BinOp Op = Cond->BO;
-    if (!Positive) {
-      switch (Cond->BO) {
-      case BinOp::Lt: Op = BinOp::Ge; break;
-      case BinOp::Le: Op = BinOp::Gt; break;
-      case BinOp::Gt: Op = BinOp::Le; break;
-      case BinOp::Ge: Op = BinOp::Lt; break;
-      case BinOp::Eq: Op = BinOp::Ne; break;
-      case BinOp::Ne: Op = BinOp::Eq; break;
-      default: break;
-      }
-    }
+    BinOp Op = Positive ? Cond->BO : negate(Cond->BO);
     // Refine when one side is a Load of a pack numeric cell.
     auto TryRefine = [&](const Expr *Side, const Expr *Other, bool IsLeft) {
       CellId C = Ctx.strongLoadCell(Side);
@@ -244,30 +233,7 @@ void refineLeafNums(const DomainEvalContext &Ctx, const DecisionTree &Tree,
       if (OtherV.isBottom())
         return;
       bool IsInt = Side->Ty->isInt() && Other->Ty->isInt();
-      Interval R = Nums[N];
-      BinOp EffOp = Op;
-      if (!IsLeft) {
-        switch (Op) {
-        case BinOp::Lt: EffOp = BinOp::Gt; break;
-        case BinOp::Le: EffOp = BinOp::Ge; break;
-        case BinOp::Gt: EffOp = BinOp::Lt; break;
-        case BinOp::Ge: EffOp = BinOp::Le; break;
-        default: break;
-        }
-      }
-      switch (EffOp) {
-      case BinOp::Lt: R = R.meetLt(OtherV.Hi, IsInt); break;
-      case BinOp::Le: R = R.meetLe(OtherV.Hi); break;
-      case BinOp::Gt: R = R.meetGt(OtherV.Lo, IsInt); break;
-      case BinOp::Ge: R = R.meetGe(OtherV.Lo); break;
-      case BinOp::Eq: R = R.meet(OtherV); break;
-      case BinOp::Ne:
-        if (OtherV.isPoint())
-          R = R.meetNe(OtherV.Lo, IsInt);
-        break;
-      default: break;
-      }
-      Nums[N] = R;
+      Nums[N] = Nums[N].meetCompare(IsLeft ? Op : mirror(Op), OtherV, IsInt);
     };
     TryRefine(Cond->A, Cond->B, /*IsLeft=*/true);
     TryRefine(Cond->B, Cond->A, /*IsLeft=*/false);
@@ -428,19 +394,8 @@ DomainState::Ptr DecisionTreeState::guard(const RelGuard &G,
     CellOverlay O = leafOverlay(Tree, L, Scratch);
     Interval LA = Ctx.eval(G.A, &O);
     Interval LB = Ctx.eval(G.B, &O);
-    bool Feasible = true;
-    switch (G.Op) {
-    case BinOp::Lt: Feasible = LA.Lo < LB.Hi; break;
-    case BinOp::Le: Feasible = LA.Lo <= LB.Hi; break;
-    case BinOp::Gt: Feasible = LA.Hi > LB.Lo; break;
-    case BinOp::Ge: Feasible = LA.Hi >= LB.Lo; break;
-    case BinOp::Eq: Feasible = !LA.meet(LB).isBottom(); break;
-    case BinOp::Ne:
-      Feasible = !(LA.isPoint() && LB.isPoint() && LA.Lo == LB.Lo);
-      break;
-    default: break;
-    }
-    if (!Feasible && !LA.isBottom() && !LB.isBottom()) {
+    if (!LA.isBottom() && !LB.isBottom() &&
+        !Interval::mayHold(G.Op, LA, LB)) {
       N->Tree.leafMutable(L).Reachable = false;
       Changed = true;
     }

@@ -83,8 +83,9 @@ static void collectConstantThresholds(const Program &Prog,
 ExecutionContext::ExecutionContext(const Program &Prog,
                                    const memory::CellLayout &L,
                                    const DomainRegistry &Registry,
-                                   const AnalyzerOptions &O)
-    : P(Prog), Layout(L), Reg(Registry), Opts(O) {
+                                   const AnalyzerOptions &O,
+                                   Scheduler *Pool, const cancel::Token &Stop)
+    : P(Prog), Layout(L), Reg(Registry), Opts(O), Pool(Pool), Stop(Stop) {
   // Fold user thresholds, program constants and the clock bound into the
   // ladder (end-user parametrization, Sect. 3.2; widening thresholds are
   // "easily found in the program documentation" — and the program's own

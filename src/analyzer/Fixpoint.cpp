@@ -24,9 +24,6 @@
 
 #include "analyzer/Iterator.h"
 
-#include "analyzer/Scheduler.h"
-#include "support/Cancellation.h"
-
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -43,22 +40,21 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
   unsigned ConsecutiveHolds = 0;
 
   for (unsigned Iter = 0;; ++Iter) {
-    // Fixpoint head: the Iterator's cancellation choke point. The
-    // flag/deadline poll may run on any thread (timeout outcomes are never
-    // byte-compared). The budget poll is restricted to sites that execute
-    // identically for every --jobs value: top-level fixpoint heads of the
-    // session's own iterator. Partition workers never get here: they only
-    // run straight-line `if` regions, which hold no loop. Fixpoints inside
-    // called functions are excluded by CallDepth == 0 (run() inlines the
-    // entry body without an execCall frame), and the per-thread
-    // interference iterators by !T.Conc (whole thread bodies move onto
-    // workers when the rounds fan out; the ConcurrentAnalysis round heads
-    // poll instead). At these sites the live figure is a function of the
-    // analysis alone, not of worker timing — that is the budget-degradation
-    // determinism contract.
-    cancel::poll();
+    // Fixpoint head: the Iterator's cancellation choke point. The deadline
+    // poll may run on any thread (timeout outcomes are never byte-compared).
+    // The budget poll is restricted to sites that execute identically for
+    // every --jobs value: top-level fixpoint heads of the session's own
+    // iterator. Partition workers never get here: they only run straight-line
+    // `if` regions, which hold no loop. Fixpoints inside called functions
+    // are excluded by CallDepth == 0 (run() inlines the entry body without
+    // an execCall frame), and the per-thread interference iterators by
+    // !T.Conc (whole thread bodies move onto workers when the rounds fan
+    // out; the ConcurrentAnalysis round heads poll instead). At these sites
+    // the live figure is a function of the analysis alone, not of worker
+    // timing — that is the budget-degradation determinism contract.
+    Exec.Stop.poll();
     if (CallDepth == 0 && !T.Conc)
-      cancel::pollBudget();
+      Exec.Stop.pollBudget();
     Stats.add("fixpoint.iterations");
     // Tracing facility (Sect. 5.3: "tracing facilities with various degrees
     // of detail are also available"): ASTRAL_DEBUG_FIXPOINT=1 logs iteration
@@ -164,7 +160,7 @@ AbstractEnv Iterator::loopFixpoint(const Stmt *W, const AbstractEnv &E0) {
 
   // Narrowing iterations (5.5).
   for (unsigned K = 0; K < Opts.NarrowingIterations; ++K) {
-    cancel::poll();
+    Exec.Stop.poll();
     Stats.add("fixpoint.narrowings");
     LoopStack.back().BreakAcc = AbstractEnv::bottom();
     AbstractEnv In = T.guard(X, W->Cond, true);

@@ -138,7 +138,10 @@ Iterator::Disjunction Iterator::runPartitioned(const Stmt *S, Disjunction D) {
     It.execIf(S, std::move(E), Out);
   };
   const size_t N = D.size();
-  if (!Scheduler::wouldFanOut(N) || !isStraightLine(S)) {
+  // A task's nested parallelFor would only run inline: nested `if`s inside
+  // partition workers and the threads of a fanned-out round stay inline.
+  if (!Exec.Pool || N < 2 || Scheduler::inWorkerTask() ||
+      !isStraightLine(S)) {
     // Every partition inline, in partition order.
     Disjunction Out;
     for (AbstractEnv &E : D)
@@ -151,10 +154,9 @@ Iterator::Disjunction Iterator::runPartitioned(const Stmt *S, Disjunction D) {
 
   // Each partition gets its own worker context, built inside the task so
   // the clone cost parallelizes too. Workers read the master only through
-  // const state that cannot change during the fan-out; nested dispatches
-  // inside a worker run inline (Scheduler::inWorkerTask).
+  // const state that cannot change during the fan-out.
   std::vector<std::unique_ptr<PartitionWorker>> Workers(N);
-  Scheduler::runGroups(N, [&](size_t I) {
+  Exec.Pool->parallelFor(N, [&](size_t I) {
     auto W = std::make_unique<PartitionWorker>(*this);
     Run(W->Iter, std::move(D[I]), W->Out);
     Workers[I] = std::move(W);
@@ -164,7 +166,7 @@ Iterator::Disjunction Iterator::runPartitioned(const Stmt *S, Disjunction D) {
   // result environments, in canonical partition order.
   Disjunction Out;
   for (size_t I = 0; I < N; ++I) {
-    // A skipped slot can only mean the task threw; runGroups rethrows
+    // A skipped slot can only mean the task threw; parallelFor rethrows
     // first-by-index, so control never reaches here with a null worker.
     PartitionWorker &W = *Workers[I];
     mergeWorker(W);

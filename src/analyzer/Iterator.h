@@ -87,12 +87,13 @@ private:
   Iterator(const Iterator &Parent, AlarmSet &WorkerAlarms);
 
   /// Runs the `if` statement \p S over every environment of \p D —
-  /// execStmt's If case. The partitions fan out over the ambient Scheduler
-  /// when it has workers and \p S is a straight-line region (no loop, call
-  /// or jump in either branch); otherwise they run inline, in partition
-  /// order. The per-partition results are concatenated in partition order,
-  /// and each worker's alarms and pack-usefulness flags merge in partition
-  /// order, so the parallel path is byte-identical to the inline loop.
+  /// execStmt's If case. The partitions fan out over the context's pool
+  /// when there is one, this thread is not already running a pool task and
+  /// \p S is a straight-line region (no loop, call or jump in either
+  /// branch); otherwise they run inline, in partition order. The
+  /// per-partition results are concatenated in partition order, and each
+  /// worker's alarms and pack-usefulness flags merge in partition order, so
+  /// the parallel path is byte-identical to the inline loop.
   Disjunction runPartitioned(const ir::Stmt *S, Disjunction D);
 
   /// Merges one worker's alarms and pack-usefulness flags into this

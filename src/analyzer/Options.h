@@ -118,9 +118,7 @@ struct AnalyzerOptions {
   /// Abstract-state byte budget checked against the session's deterministic
   /// memtrack live figure at master-thread sequential points (never wall
   /// clock, never worker-local state — that is what keeps budget outcomes
-  /// byte-identical across --jobs); 0 = none. The --memory-budget-mb flag
-  /// sets this in whole MiB; tests set bytes directly for precise trigger
-  /// points.
+  /// byte-identical across --jobs); 0 = none. Set by --memory-budget-bytes.
   uint64_t MemoryBudgetBytes = 0;
 
   /// What crossing the budget does (--on-budget=degrade|fail):

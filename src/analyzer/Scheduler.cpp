@@ -7,7 +7,6 @@
 
 #include "analyzer/Scheduler.h"
 
-#include "support/Cancellation.h"
 #include "support/FaultInjection.h"
 #include "support/MemoryTracker.h"
 
@@ -17,16 +16,6 @@
 
 using namespace astral;
 
-//===----------------------------------------------------------------------===//
-// Ambient scheduler
-//===----------------------------------------------------------------------===//
-
-namespace {
-thread_local Scheduler *AmbientScheduler = nullptr;
-} // namespace
-
-Scheduler *Scheduler::ambient() { return AmbientScheduler; }
-
 namespace {
 /// Set while the current thread executes tasks of some pool batch; nested
 /// parallelFor calls on this thread run inline instead of re-submitting.
@@ -34,12 +23,6 @@ thread_local bool InsidePoolTask = false;
 } // namespace
 
 bool Scheduler::inWorkerTask() { return InsidePoolTask; }
-
-SchedulerScope::SchedulerScope(Scheduler *S) : Prev(AmbientScheduler) {
-  AmbientScheduler = S;
-}
-
-SchedulerScope::~SchedulerScope() { AmbientScheduler = Prev; }
 
 static unsigned hardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
@@ -67,23 +50,6 @@ std::shared_ptr<Scheduler> Scheduler::create(unsigned Jobs) {
   return std::make_shared<Scheduler>(effectiveJobs(Jobs));
 }
 
-bool Scheduler::wouldFanOut(size_t NumGroups) {
-  Scheduler *S = ambient();
-  // A worker's nested parallelFor runs inline anyway; skip the staging.
-  return NumGroups >= 2 && S && S->concurrency() > 1 && !inWorkerTask();
-}
-
-bool Scheduler::runGroups(size_t NumGroups,
-                          const std::function<void(size_t)> &F) {
-  if (wouldFanOut(NumGroups)) {
-    ambient()->parallelFor(NumGroups, F);
-    return true;
-  }
-  for (size_t I = 0; I < NumGroups; ++I)
-    F(I);
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // The pool
 //===----------------------------------------------------------------------===//
@@ -98,11 +64,6 @@ struct Scheduler::Batch {
   /// abstract-state allocations meter into the session's own counter
   /// rather than whichever session a worker last served.
   memtrack::Counter *Mem = nullptr;
-  /// The submitting thread's ambient cancellation token, propagated to the
-  /// workers the same way as Mem: every claimed task polls it first, so a
-  /// cancelled or deadline-expired batch stops fanning out promptly instead
-  /// of running its remaining tasks to completion.
-  cancel::Token *Cancel = nullptr;
 
   std::atomic<size_t> Next{0};    ///< Next unclaimed index.
   std::atomic<size_t> Done{0};    ///< Tasks finished (ran or abandoned).
@@ -133,18 +94,11 @@ void Scheduler::runTasks(Batch &B) {
   bool SavedInside = InsidePoolTask;
   InsidePoolTask = true;
   memtrack::CounterScope MemScope(B.Mem);
-  cancel::TokenScope CancelScope(B.Cancel);
   for (;;) {
     size_t I = B.Next.fetch_add(1, std::memory_order_relaxed);
     if (I >= B.N)
       break;
     try {
-      // Task boundary: the cheapest choke point. A cancelled batch still
-      // claims and completes every index (the Done count must reach N), but
-      // each remaining task fails fast here instead of running; the poll's
-      // AnalysisCancelled is recorded like any task error and rethrown
-      // first-by-index from parallelFor.
-      cancel::poll();
       faultinject::fire("scheduler-worker");
       (*B.F)(I);
     } catch (...) {
@@ -202,7 +156,6 @@ void Scheduler::parallelFor(size_t N,
   B->N = N;
   B->F = &F;
   B->Mem = memtrack::currentCounter();
-  B->Cancel = cancel::currentToken();
   {
     std::lock_guard<std::mutex> L(Mu);
     Current = B;

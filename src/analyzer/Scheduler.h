@@ -30,11 +30,11 @@
 ///   - Nested parallelFor (a task submitting to its own pool) runs inline on
 ///     the calling worker — no deadlock, same results.
 ///
-/// The ambient scheduler is a per-thread slot (SchedulerScope) consulted by
-/// the Iterator's trace-partition dispatch and the interference rounds
-/// (runGroups), so the deep call paths need no plumbed-through parameter.
-/// Worker threads have no ambient scheduler: nested dispatches run
-/// sequentially inline.
+/// An analysis finds its pool in its ExecutionContext (Pool). The pool knows
+/// nothing of deadlines or budgets: tasks poll the context's token
+/// themselves. The one per-thread value it carries onto its workers is the
+/// submitter's memtrack::Counter, because the allocation sites that meter
+/// into it cannot see the context.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,14 +70,9 @@ public:
   /// done. See the file comment for the independence/determinism contract.
   void parallelFor(size_t N, const std::function<void(size_t)> &F);
 
-  /// The scheduler installed for the current thread by a SchedulerScope, or
-  /// null (callers then run inline).
-  static Scheduler *ambient();
-
-  /// Whether the current thread is executing a pool task.
-  /// Code that would install an ambient scheduler checks this first: a
-  /// worker's nested parallelFor runs inline anyway, so staging work for
-  /// it is pure overhead.
+  /// Whether the current thread is executing a pool task. A fan-out checks
+  /// this first: a task's nested parallelFor runs inline anyway, so staging
+  /// work for it is pure overhead.
   static bool inWorkerTask();
 
   /// Resolves a --jobs request to the concurrency create() will use:
@@ -96,25 +91,6 @@ public:
 
   /// Builds the scheduler for effectiveJobs(\p Jobs) threads.
   static std::shared_ptr<Scheduler> create(unsigned Jobs);
-
-  /// Whether runGroups(\p NumGroups, ...) called right now would fan the
-  /// groups out concurrently: at least two groups, an ambient scheduler
-  /// with real concurrency, and not already inside a pool task (a worker's
-  /// nested parallelFor runs inline anyway). Dispatchers that must build
-  /// per-group state *before* fanning out (the Iterator's partition
-  /// workers) consult this so the eligibility test and the dispatch can
-  /// never disagree.
-  static bool wouldFanOut(size_t NumGroups);
-
-  /// Grouped fan-out for the trace-partition dispatch and the thread rounds:
-  /// runs F(0) .. F(NumGroups-1) — one independent work *group* each,
-  /// carrying its own state (worker iteration context, thread run) —
-  /// through the ambient scheduler when wouldFanOut holds, inline in index
-  /// order otherwise. Callers apply the per-group results in deterministic
-  /// order afterwards, exactly as with parallelFor slots. Returns whether
-  /// the groups actually fanned out (the work-metering census of the
-  /// dispatch counters).
-  static bool runGroups(size_t NumGroups, const std::function<void(size_t)> &F);
 
   /// Upper bound on any pool's concurrency — a `@astral jobs` directive or
   /// --jobs flag cannot make the analyzer spawn an unbounded number of
@@ -136,21 +112,6 @@ private:
   std::shared_ptr<Batch> Current; ///< Batch being executed, or null.
   uint64_t BatchSeq = 0;          ///< Bumped per submitted batch.
   bool ShuttingDown = false;
-};
-
-/// Installs \p S as the calling thread's ambient scheduler for the scope's
-/// lifetime (restores the previous one on exit). Passing null simply
-/// shadows any outer scope.
-class SchedulerScope {
-public:
-  explicit SchedulerScope(Scheduler *S);
-  ~SchedulerScope();
-
-  SchedulerScope(const SchedulerScope &) = delete;
-  SchedulerScope &operator=(const SchedulerScope &) = delete;
-
-private:
-  Scheduler *Prev;
 };
 
 } // namespace astral

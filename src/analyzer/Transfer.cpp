@@ -326,17 +326,10 @@ Interval Transfer::evalBinary(const AbstractEnv &Env, const Expr *E,
       return Interval(CanTrue && !CanFalse ? 1 : 0,
                       CanFalse && !CanTrue ? 0 : 1);
     };
+    if (isComparison(E->BO))
+      return Tri(Interval::mayHold(negate(E->BO), A, B),
+                 Interval::mayHold(E->BO, A, B));
     switch (E->BO) {
-    case BinOp::Lt: return Tri(A.Hi >= B.Lo, A.Lo < B.Hi);
-    case BinOp::Le: return Tri(A.Hi > B.Lo, A.Lo <= B.Hi);
-    case BinOp::Gt: return Tri(A.Lo <= B.Hi, A.Hi > B.Lo);
-    case BinOp::Ge: return Tri(A.Lo < B.Hi, A.Hi >= B.Lo);
-    case BinOp::Eq:
-      return Tri(!(A.isPoint() && B.isPoint() && A.Lo == B.Lo),
-                 !A.meet(B).isBottom());
-    case BinOp::Ne:
-      return Tri(!A.meet(B).isBottom(),
-                 !(A.isPoint() && B.isPoint() && A.Lo == B.Lo));
     case BinOp::LogicalAnd: {
       bool CanTrue = !A.meetNe(0, E->A->Ty->isInt()).isBottom() &&
                      !B.meetNe(0, E->B->Ty->isInt()).isBottom();
@@ -790,21 +783,9 @@ AbstractEnv Transfer::guard(AbstractEnv Env, const Expr *Cond,
           guard(guard(std::move(Env), Cond->A, false), Cond->B, true);
       return join(A, NotAandB);
     }
-    if (isComparison(Cond->BO)) {
-      BinOp Op = Cond->BO;
-      if (!Positive) {
-        switch (Cond->BO) {
-        case BinOp::Lt: Op = BinOp::Ge; break;
-        case BinOp::Le: Op = BinOp::Gt; break;
-        case BinOp::Gt: Op = BinOp::Le; break;
-        case BinOp::Ge: Op = BinOp::Lt; break;
-        case BinOp::Eq: Op = BinOp::Ne; break;
-        case BinOp::Ne: Op = BinOp::Eq; break;
-        default: break;
-        }
-      }
-      return guardCompare(std::move(Env), Cond->A, Cond->B, Op);
-    }
+    if (isComparison(Cond->BO))
+      return guardCompare(std::move(Env), Cond->A, Cond->B,
+                          Positive ? Cond->BO : negate(Cond->BO));
     break;
   case ExprKind::Unary:
     if (Cond->UO == UnOp::LogicalNot)
@@ -879,35 +860,8 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
     return AbstractEnv::bottom();
   bool IsInt = A->Ty->isInt() && B->Ty->isInt();
 
-  // Infeasibility tests.
-  switch (Op) {
-  case BinOp::Lt:
-    if (IA.Lo >= IB.Hi)
-      return AbstractEnv::bottom();
-    break;
-  case BinOp::Le:
-    if (IA.Lo > IB.Hi)
-      return AbstractEnv::bottom();
-    break;
-  case BinOp::Gt:
-    if (IA.Hi <= IB.Lo)
-      return AbstractEnv::bottom();
-    break;
-  case BinOp::Ge:
-    if (IA.Hi < IB.Lo)
-      return AbstractEnv::bottom();
-    break;
-  case BinOp::Eq:
-    if (IA.meet(IB).isBottom())
-      return AbstractEnv::bottom();
-    break;
-  case BinOp::Ne:
-    if (IA.isPoint() && IB.isPoint() && IA.Lo == IB.Lo)
-      return AbstractEnv::bottom();
-    break;
-  default:
-    break;
-  }
+  if (!Interval::mayHold(Op, IA, IB))
+    return AbstractEnv::bottom();
 
   // Interval refinement of single-cell loads on either side.
   auto RefineLoad = [&](const Expr *Side, const Interval &Other,
@@ -928,30 +882,8 @@ AbstractEnv Transfer::guardCompare(AbstractEnv Env, const Expr *A,
     // 42). Refine the rival-joined observation instead.
     if (Conc && Conc->isShared(C) && Conc->In)
       R = R.join(Conc->In->rivalWrites(Conc->ThreadIndex, C));
-    BinOp EffOp = Op;
-    if (!IsLeft) {
-      // B rel A with the mirrored operator.
-      switch (Op) {
-      case BinOp::Lt: EffOp = BinOp::Gt; break;
-      case BinOp::Le: EffOp = BinOp::Ge; break;
-      case BinOp::Gt: EffOp = BinOp::Lt; break;
-      case BinOp::Ge: EffOp = BinOp::Le; break;
-      default: break;
-      }
-    }
-    switch (EffOp) {
-    case BinOp::Lt: R = R.meetLt(Other.Hi, IsInt); break;
-    case BinOp::Le: R = R.meetLe(Other.Hi); break;
-    case BinOp::Gt: R = R.meetGt(Other.Lo, IsInt); break;
-    case BinOp::Ge: R = R.meetGe(Other.Lo); break;
-    case BinOp::Eq: R = R.meet(Other); break;
-    case BinOp::Ne:
-      if (Other.isPoint())
-        R = R.meetNe(Other.Lo, IsInt);
-      break;
-    default:
-      break;
-    }
+    // B rel A with the mirrored operator.
+    R = R.meetCompare(IsLeft ? Op : mirror(Op), Other, IsInt);
     if (R.isBottom()) {
       Env.markBottom();
       return;

@@ -9,7 +9,6 @@
 
 #include "analyzer/Iterator.h"
 #include "analyzer/Scheduler.h"
-#include "support/Cancellation.h"
 
 #include <set>
 #include <utility>
@@ -99,15 +98,15 @@ ConcurrentResult ConcurrentAnalysis::run() {
     // Runs on the master thread between fan-outs, so the budget poll here
     // reads a deterministic live figure (same discipline as the fixpoint
     // heads — see support/Cancellation.h).
-    cancel::poll();
-    cancel::pollBudget();
+    Exec.Stop.poll();
+    Exec.Stop.pollBudget();
     std::vector<ThreadRun> Runs(N);
     // The thread grain: per-thread analyses of one round are
     // independent (each reads the round's snapshot map and E0, writes only
-    // its own ThreadRun), so they fan out over the ambient Scheduler.
+    // its own ThreadRun), so they fan out over the context's pool.
     // Every merge below runs in thread-declaration order, so reports are
     // byte-identical whether or not the fan-out happened.
-    bool FannedOut = Scheduler::runGroups(N, [&](size_t T) {
+    auto RunThread = [&](size_t T) {
       ThreadRun &TR = Runs[T];
       InterferenceRecorder Rec;
       ThreadContext Ctx;
@@ -121,9 +120,14 @@ ConcurrentResult ConcurrentAnalysis::run() {
       TR.Invariants = It.loopInvariants();
       TR.RelImproved = It.transfer().RelPackImproved;
       TR.Recorded = Rec.take();
-    });
-    if (FannedOut)
+    };
+    if (Exec.Pool && N >= 2) {
+      Exec.Pool->parallelFor(N, RunThread);
       Stats.add("parallel.thread_rounds_dispatched");
+    } else {
+      for (size_t T = 0; T < N; ++T)
+        RunThread(T);
+    }
 
     if (Round == 1)
       for (size_t T = 0; T < N; ++T)

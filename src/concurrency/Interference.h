@@ -71,7 +71,6 @@ class InterferenceMap {
 public:
   explicit InterferenceMap(size_t NumThreads) : Threads(NumThreads) {}
 
-  size_t numThreads() const { return Threads.size(); }
   const ThreadInterference &thread(size_t T) const { return Threads[T]; }
 
   /// Folds \p Delta into thread \p T's component. Returns true on growth.

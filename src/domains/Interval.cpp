@@ -8,10 +8,12 @@
 #include "domains/Interval.h"
 
 #include "domains/Thresholds.h"
+#include "ir/Ir.h"
 
 #include <cstdio>
 
 using namespace astral;
+using ir::BinOp;
 
 Interval Interval::widen(const Interval &Next) const {
   if (isBottom())
@@ -75,6 +77,31 @@ Interval Interval::meetNe(double C, bool IsInt) const {
   if (R.Hi == C)
     R.Hi = C - 1;
   return R.isBottom() ? bottom() : R;
+}
+
+bool Interval::mayHold(BinOp Op, const Interval &A, const Interval &B) {
+  switch (Op) {
+  case BinOp::Lt: return A.Lo < B.Hi;
+  case BinOp::Le: return A.Lo <= B.Hi;
+  case BinOp::Gt: return A.Hi > B.Lo;
+  case BinOp::Ge: return A.Hi >= B.Lo;
+  case BinOp::Eq: return !A.meet(B).isBottom();
+  case BinOp::Ne: return !(A.isPoint() && B.isPoint() && A.Lo == B.Lo);
+  default: return true;
+  }
+}
+
+Interval Interval::meetCompare(BinOp Op, const Interval &Other,
+                               bool IsInt) const {
+  switch (Op) {
+  case BinOp::Lt: return meetLt(Other.Hi, IsInt);
+  case BinOp::Le: return meetLe(Other.Hi);
+  case BinOp::Gt: return meetGt(Other.Lo, IsInt);
+  case BinOp::Ge: return meetGe(Other.Lo);
+  case BinOp::Eq: return meet(Other);
+  case BinOp::Ne: return Other.isPoint() ? meetNe(Other.Lo, IsInt) : *this;
+  default: return *this;
+  }
 }
 
 //===----------------------------------------------------------------------===//

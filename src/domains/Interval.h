@@ -31,12 +31,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
 namespace astral {
 
 class Thresholds;
+namespace ir {
+enum class BinOp : uint8_t;
+}
 
 struct Interval {
   double Lo = std::numeric_limits<double>::infinity();
@@ -129,6 +133,16 @@ struct Interval {
   /// interval.
   Interval meetNe(double C, bool IsInt) const;
 
+  // -- Comparisons (the ir::isComparison operators) --------------------
+  /// Whether some a in \p A and b in \p B may satisfy `a Op b`: false only
+  /// when no pair can (true for any other operator). Both intervals must be
+  /// non-bottom.
+  static bool mayHold(ir::BinOp Op, const Interval &A, const Interval &B);
+  /// this refined by `x Op y` for some y in \p Other: keeps every x that
+  /// has such a y. `!=` only sharpens against a point; any other operator
+  /// refines nothing.
+  Interval meetCompare(ir::BinOp Op, const Interval &Other, bool IsInt) const;
+
   // -- Float arithmetic (directed rounding, Sect. 6.2.1) ----------------
   static Interval fadd(const Interval &A, const Interval &B);
   static Interval fsub(const Interval &A, const Interval &B);
@@ -157,7 +171,6 @@ struct Interval {
   static Interval iand(const Interval &A, const Interval &B);
   static Interval ior(const Interval &A, const Interval &B);
   static Interval ixor(const Interval &A, const Interval &B);
-  static Interval ineg(const Interval &A) { return fneg(A); }
   static Interval ibitnot(const Interval &A);
 
   std::string toString() const;

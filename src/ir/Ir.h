@@ -96,6 +96,32 @@ inline bool isComparison(BinOp Op) {
   }
 }
 
+/// The comparison that holds exactly when \p Op fails: `a < b` fails
+/// exactly when `a >= b` holds. Other operators map to themselves.
+inline BinOp negate(BinOp Op) {
+  switch (Op) {
+  case BinOp::Lt: return BinOp::Ge;
+  case BinOp::Le: return BinOp::Gt;
+  case BinOp::Gt: return BinOp::Le;
+  case BinOp::Ge: return BinOp::Lt;
+  case BinOp::Eq: return BinOp::Ne;
+  case BinOp::Ne: return BinOp::Eq;
+  default: return Op;
+  }
+}
+
+/// The comparison with its operands swapped: `a < b` is `b > a`. Other
+/// operators map to themselves.
+inline BinOp mirror(BinOp Op) {
+  switch (Op) {
+  case BinOp::Lt: return BinOp::Gt;
+  case BinOp::Le: return BinOp::Ge;
+  case BinOp::Gt: return BinOp::Lt;
+  case BinOp::Ge: return BinOp::Le;
+  default: return Op;
+  }
+}
+
 /// A side-effect-free typed expression.
 class Expr {
 public:

@@ -81,7 +81,6 @@ public:
   bool isArray() const { return Kind == TypeKind::Array; }
   bool isPointer() const { return Kind == TypeKind::Pointer; }
   bool isStruct() const { return Kind == TypeKind::Struct; }
-  bool isFunction() const { return Kind == TypeKind::Function; }
 
   /// Smallest representable value of an integer type.
   int64_t intMin() const {

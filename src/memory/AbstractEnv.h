@@ -115,8 +115,6 @@ public:
       Rel.resize(D + 1);
     Rel[D] = Rel[D].set(P, std::move(S));
   }
-  /// Number of relational-domain slots this environment carries states for.
-  size_t relDomains() const { return Rel.size(); }
   template <typename FnT> void forEachRel(size_t D, FnT &&F) const {
     if (D < Rel.size())
       Rel[D].forEach(F);

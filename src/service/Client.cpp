@@ -182,9 +182,7 @@ int vetResponse(const JsonValue &Doc) {
                  Kind.c_str(),
                  E && E->isString() ? E->asString().c_str()
                                     : "(malformed error response)");
-    return Kind == "timeout" || Kind == "over-budget" || Kind == "cancelled"
-               ? 4
-               : 1;
+    return Kind == "timeout" || Kind == "over-budget" ? 4 : 1;
   }
   const JsonValue *Ver = Doc.find("schema_version");
   if (!Ver || !Ver->isNumber() ||

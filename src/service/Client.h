@@ -96,8 +96,8 @@ private:
 /// analyze|status|cache-stats|shutdown (analyze takes the one-shot driver's
 /// flags and input paths, plus --priority=N to jump — or, negative, yield
 /// to — the daemon's queue). Returns the process exit code; a daemon
-/// refusal carrying error_kind timeout/over-budget/cancelled exits 4 like
-/// the one-shot driver.
+/// refusal carrying error_kind timeout or over-budget exits 4 like the
+/// one-shot driver.
 int runClientCommand(const std::vector<std::string> &Args);
 
 } // namespace service

@@ -31,7 +31,7 @@
 /// Errors: {"ok":false,"error":"...","error_kind":K} where K classifies the
 /// failure machine-readably: "bad-request" (malformed frame, unknown op,
 /// oversized line, invalid flags), "timeout" (a --deadline-ms expired),
-/// "over-budget" (--memory-budget-mb exceeded under --on-budget=fail),
+/// "over-budget" (--memory-budget-bytes exceeded under --on-budget=fail),
 /// "shutting-down" (queued but never scheduled before shutdown), and
 /// "internal" (any other exception; the daemon itself keeps serving).
 /// Every response carries schema_version; the client refuses mismatches

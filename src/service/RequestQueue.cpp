@@ -242,7 +242,7 @@ void RequestQueue::runJobs(std::vector<std::unique_ptr<Job>> Jobs) {
   };
 
   // Request isolation: every item runs under its own try/catch, so one
-  // cancelled, over-deadline, or outright faulting file poisons only its
+  // over-deadline, over-budget or outright faulting file poisons only its
   // own job's outcome — sibling requests in the drain and the dispatcher
   // itself are untouched. The slots are per-(job, file), written from at
   // most one task each; no locking needed.

@@ -10,14 +10,16 @@
 /// analyze request, already reduced to AnalysisInputs); a single dispatcher
 /// thread drains the highest-priority pending jobs — FIFO by arrival among
 /// equals, so the default priority 0 degenerates to the old drain-everything
-/// behavior — flattens them into per-file items, and
-/// runs the items over ONE shared Scheduler pool — the same
-/// coarse-grained whole-file dispatch AnalysisSession::analyzeBatch uses,
-/// extended across concurrent requests. Each item is its own
-/// AnalysisSession (per-session work meter), optionally seeded from the
-/// ArtifactCache; the session's finer parallel grains run inline
-/// on its worker, so one pool serves every granularity without
-/// oversubscription.
+/// behavior — flattens them into per-file items, and runs the items over ONE
+/// shared Scheduler pool — the same coarse-grained whole-file dispatch
+/// AnalysisSession::analyzeBatch uses, extended across concurrent requests.
+/// Each item is its own AnalysisSession (per-session work meter), optionally
+/// seeded from the ArtifactCache. In a drain of several items each runs as
+/// a pool task, and its finer parallel grains (trace partitions, thread
+/// rounds) run inline on that task, so one pool serves every granularity
+/// without oversubscription. A drain of one file runs on the dispatcher
+/// thread itself, so its finer grains fan out over the daemon's pool,
+/// whatever --jobs the request gives.
 ///
 /// Cache accounting is per-job: the outcome carries the hit/miss deltas of
 /// exactly this request's items, which is what lets a client prove "the
@@ -72,8 +74,8 @@ public:
                              ///< sequence (0-based) — the observable the
                              ///< priority tests pin.
     /// Empty = success. Otherwise the protocol error_kind ("timeout",
-    /// "over-budget", "cancelled", "shutting-down", "internal") and its
-    /// human-readable message; Results are not meaningful then.
+    /// "over-budget", "shutting-down", "internal") and its human-readable
+    /// message; Results are not meaningful then.
     std::string ErrorKind;
     std::string ErrorMessage;
     bool ok() const { return ErrorKind.empty(); }

@@ -1,29 +1,15 @@
-//===- support/Cancellation.cpp - Cooperative cancellation tokens ---------===//
+//===- support/Cancellation.cpp - Deadlines and byte budgets --------------===//
 
 #include "support/Cancellation.h"
 
 namespace astral {
 namespace cancel {
 
-namespace {
-thread_local Token *AmbientToken = nullptr;
-} // namespace
-
 const char *reasonName(Reason R) {
-  switch (R) {
-  case Reason::Cancelled:
-    return "cancelled";
-  case Reason::DeadlineExpired:
-    return "timeout";
-  case Reason::OverBudget:
-    return "over-budget";
-  }
-  return "cancelled";
+  return R == Reason::OverBudget ? "over-budget" : "timeout";
 }
 
 void Token::poll() const {
-  if (cancelled())
-    throw AnalysisCancelled(Reason::Cancelled, "analysis cancelled");
   if (HasDeadline && Clock::now() >= Deadline)
     throw AnalysisCancelled(Reason::DeadlineExpired,
                             "analysis deadline expired");
@@ -38,22 +24,6 @@ void Token::pollBudget() const {
                             "abstract-state memory budget exceeded (" +
                                 std::to_string(Live) + " live bytes > " +
                                 std::to_string(BudgetBytes) + " budget)");
-}
-
-Token *currentToken() { return AmbientToken; }
-
-TokenScope::TokenScope(Token *T) : Prev(AmbientToken) { AmbientToken = T; }
-
-TokenScope::~TokenScope() { AmbientToken = Prev; }
-
-void poll() {
-  if (AmbientToken)
-    AmbientToken->poll();
-}
-
-void pollBudget() {
-  if (AmbientToken)
-    AmbientToken->pollBudget();
 }
 
 } // namespace cancel

@@ -59,7 +59,6 @@ public:
   }
 
   bool hasErrors() const { return NumErrors > 0; }
-  unsigned errorCount() const { return NumErrors; }
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
 
   /// Renders "file:line:col: severity: message" for \p D.

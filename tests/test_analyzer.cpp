@@ -143,13 +143,6 @@ TEST(Analyzer, PackStatisticsReported) {
       << "the limiter octagon carries relational info at the loop head";
 }
 
-TEST(Analyzer, UsefulnessTracksActualImprovements) {
-  // Sect. 7.2.2: usefulness is "whether each octagon actually improved the
-  // precision of the analysis". In a larger family member a substantial
-  // fraction of the syntactic packs never fires.
-  GTEST_SKIP_("covered by Family.* and bench_packing_opt; see below");
-}
-
 TEST(Analyzer, NonLinearCodeYieldsNoPacks) {
   auto R = analyzeSource(
       "volatile float a; volatile float b;\nfloat p;\n"

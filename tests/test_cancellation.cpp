@@ -2,9 +2,8 @@
 //
 // Part of ASTRAL, a reproduction of "A Static Analyzer for Large
 // Safety-Critical Software" (PLDI 2003). Covers the resource-governance
-// layer bottom-up: the cancel::Token primitive (flag, wall-clock deadline,
-// byte budget), the ambient TokenScope and its propagation onto Scheduler
-// workers, the fault-injection arming semantics, and the end-to-end
+// layer bottom-up: the cancel::Token primitive (wall-clock deadline, byte
+// budget), the fault-injection arming semantics, and the end-to-end
 // contracts on a generated Sect. 4 family member — deadline expiry unwinds
 // with a typed reason, the memory-budget degradation ladder sheds precision
 // deterministically for every --jobs value, exhaustion waives the
@@ -13,7 +12,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyzer/AnalysisSession.h"
-#include "analyzer/Scheduler.h"
 #include "codegen/FamilyGenerator.h"
 #include "support/Cancellation.h"
 #include "support/FaultInjection.h"
@@ -21,9 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 using namespace astral;
 
@@ -33,36 +29,16 @@ using namespace astral;
 
 TEST(CancelToken, FreshTokenIsInert) {
   cancel::Token T;
-  EXPECT_FALSE(T.cancelled());
-  EXPECT_FALSE(T.hasDeadline());
-  EXPECT_FALSE(T.hasBudget());
-  EXPECT_FALSE(T.expired());
-  EXPECT_FALSE(T.overBudget());
   EXPECT_NO_THROW(T.poll());
   EXPECT_NO_THROW(T.pollBudget());
-}
-
-TEST(CancelToken, CancelFlagTripsPoll) {
-  cancel::Token T;
-  T.cancel();
-  EXPECT_TRUE(T.expired());
-  try {
-    T.poll();
-    FAIL() << "poll must throw on a cancelled token";
-  } catch (const cancel::AnalysisCancelled &C) {
-    EXPECT_EQ(C.reason(), cancel::Reason::Cancelled);
-    EXPECT_STREQ(cancel::reasonName(C.reason()), "cancelled");
-  }
 }
 
 TEST(CancelToken, DeadlineExpiryTripsPoll) {
   cancel::Token T;
   T.setDeadlineMs(0); // 0 disables: no deadline is armed.
-  EXPECT_FALSE(T.hasDeadline());
+  EXPECT_NO_THROW(T.poll());
 
   T.setDeadline(cancel::Token::Clock::now() - std::chrono::milliseconds(1));
-  EXPECT_TRUE(T.hasDeadline());
-  EXPECT_TRUE(T.expired());
   try {
     T.poll();
     FAIL() << "poll must throw past the deadline";
@@ -70,11 +46,12 @@ TEST(CancelToken, DeadlineExpiryTripsPoll) {
     EXPECT_EQ(C.reason(), cancel::Reason::DeadlineExpired);
     EXPECT_STREQ(cancel::reasonName(C.reason()), "timeout");
   }
+  // The deadline is the wall clock's alone: the budget poll ignores it.
+  EXPECT_NO_THROW(T.pollBudget());
 
   // A future deadline does not fire early.
   cancel::Token U;
   U.setDeadlineMs(60'000);
-  EXPECT_FALSE(U.expired());
   EXPECT_NO_THROW(U.poll());
 }
 
@@ -84,12 +61,9 @@ TEST(CancelToken, BudgetArmsAgainstMeter) {
 
   cancel::Token T;
   T.setBudget(200, &Meter);
-  ASSERT_TRUE(T.hasBudget());
-  EXPECT_FALSE(T.overBudget());
   EXPECT_NO_THROW(T.pollBudget());
 
   T.setBudget(50, &Meter);
-  EXPECT_TRUE(T.overBudget());
   try {
     T.pollBudget();
     FAIL() << "pollBudget must throw over budget";
@@ -97,64 +71,17 @@ TEST(CancelToken, BudgetArmsAgainstMeter) {
     EXPECT_EQ(C.reason(), cancel::Reason::OverBudget);
     EXPECT_STREQ(cancel::reasonName(C.reason()), "over-budget");
   }
+  // The budget is the meter's alone: the deadline poll ignores it.
+  EXPECT_NO_THROW(T.poll());
 
   // The budget only reads *live* bytes — frees bring the run back under.
   Meter.noteFree(80);
-  EXPECT_FALSE(T.overBudget());
+  EXPECT_NO_THROW(T.pollBudget());
 
   // Bytes == 0 disarms (the ladder's waive step).
   T.setBudget(0, &Meter);
-  EXPECT_FALSE(T.hasBudget());
   Meter.noteAlloc(1 << 20);
   EXPECT_NO_THROW(T.pollBudget());
-}
-
-TEST(CancelToken, AmbientScopeInstallsAndRestores) {
-  EXPECT_EQ(cancel::currentToken(), nullptr);
-  EXPECT_NO_THROW(cancel::poll()); // Free polls are no-ops without a token.
-  EXPECT_NO_THROW(cancel::pollBudget());
-
-  cancel::Token Outer, Inner;
-  Outer.cancel();
-  {
-    cancel::TokenScope S1(&Outer);
-    EXPECT_EQ(cancel::currentToken(), &Outer);
-    EXPECT_THROW(cancel::poll(), cancel::AnalysisCancelled);
-    {
-      cancel::TokenScope S2(&Inner);
-      EXPECT_EQ(cancel::currentToken(), &Inner);
-      EXPECT_NO_THROW(cancel::poll());
-      {
-        // Null shadows any outer token, like SchedulerScope/CounterScope.
-        cancel::TokenScope S3(nullptr);
-        EXPECT_EQ(cancel::currentToken(), nullptr);
-        EXPECT_NO_THROW(cancel::poll());
-      }
-      EXPECT_EQ(cancel::currentToken(), &Inner);
-    }
-    EXPECT_EQ(cancel::currentToken(), &Outer);
-  }
-  EXPECT_EQ(cancel::currentToken(), nullptr);
-}
-
-TEST(CancelToken, SchedulerPropagatesTokenToWorkers) {
-  // The Scheduler captures the submitter's ambient token per batch and
-  // re-installs it on every worker running that batch's tasks.
-  cancel::Token T;
-  cancel::TokenScope Scope(&T);
-  std::shared_ptr<Scheduler> S = Scheduler::create(2);
-
-  std::atomic<unsigned> Seen{0};
-  S->parallelFor(8, [&](size_t) {
-    if (cancel::currentToken() == &T)
-      Seen.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(Seen.load(), 8u);
-
-  // A cancelled token unwinds out of parallelFor via the scheduler's
-  // task-boundary poll and first-error rethrow.
-  T.cancel();
-  EXPECT_THROW(S->parallelFor(8, [](size_t) {}), cancel::AnalysisCancelled);
 }
 
 //===----------------------------------------------------------------------===//
@@ -258,14 +185,16 @@ TEST(Governance, DeadlineExpiryUnwindsWithTypedReason) {
 TEST(Governance, ExternalTokenPreemptsAnalysis) {
   AnalysisInput In = familyInput(400, 7);
   AnalysisSession S(std::move(In));
+  // The daemon's token: a deadline anchored at request arrival, here one
+  // that passed while the request queued.
   auto Tok = std::make_shared<cancel::Token>();
-  Tok->cancel(); // The daemon's drop-before-dispatch path, compressed.
+  Tok->setDeadline(cancel::Token::Clock::now() - std::chrono::milliseconds(1));
   S.setCancelToken(Tok);
   try {
     S.runAbstractExecution();
-    FAIL() << "an injected cancelled token must preempt the run";
+    FAIL() << "an injected expired token must preempt the run";
   } catch (const cancel::AnalysisCancelled &C) {
-    EXPECT_EQ(C.reason(), cancel::Reason::Cancelled);
+    EXPECT_EQ(C.reason(), cancel::Reason::DeadlineExpired);
   }
 }
 

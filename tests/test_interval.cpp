@@ -8,10 +8,12 @@
 #include "domains/Interval.h"
 
 #include "domains/Thresholds.h"
+#include "ir/Ir.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 using namespace astral;
 
@@ -88,6 +90,65 @@ TEST(Interval, FloatGuardStrictness) {
   Interval Lt = A.meetLt(1.0, /*IsInt=*/false);
   EXPECT_LT(Lt.Hi, 1.0);
   EXPECT_GT(Lt.Hi, 0.999);
+}
+
+namespace {
+
+constexpr ir::BinOp Comparisons[] = {ir::BinOp::Lt, ir::BinOp::Le,
+                                     ir::BinOp::Gt, ir::BinOp::Ge,
+                                     ir::BinOp::Eq, ir::BinOp::Ne};
+
+/// The concrete truth of `A Op B`.
+bool holds(ir::BinOp Op, int A, int B) {
+  switch (Op) {
+  case ir::BinOp::Lt: return A < B;
+  case ir::BinOp::Le: return A <= B;
+  case ir::BinOp::Gt: return A > B;
+  case ir::BinOp::Ge: return A >= B;
+  case ir::BinOp::Eq: return A == B;
+  default: return A != B;
+  }
+}
+
+} // namespace
+
+TEST(Interval, NegateAndMirrorMatchEnumeration) {
+  for (ir::BinOp Op : Comparisons)
+    for (int A = -2; A <= 2; ++A)
+      for (int B = -2; B <= 2; ++B) {
+        EXPECT_NE(holds(ir::negate(Op), A, B), holds(Op, A, B));
+        EXPECT_EQ(holds(ir::mirror(Op), B, A), holds(Op, A, B));
+      }
+}
+
+TEST(Interval, ComparisonPairMatchesEnumeration) {
+  // Every integer interval within [-3, 3] against every other: mayHold is
+  // exact, and the refinement keeps every a of A that has a witness b in B
+  // with `a Op b`, and nothing outside A.
+  std::vector<Interval> Itvs;
+  for (int Lo = -3; Lo <= 3; ++Lo)
+    for (int Hi = Lo; Hi <= 3; ++Hi)
+      Itvs.push_back(Interval(Lo, Hi));
+  for (ir::BinOp Op : Comparisons)
+    for (const Interval &A : Itvs)
+      for (const Interval &B : Itvs) {
+        const std::string Case = "op " + std::to_string(int(Op)) + ", A " +
+                                 A.toString() + ", B " + B.toString();
+        bool AnyPair = false;
+        for (int X = int(A.Lo); X <= int(A.Hi); ++X) {
+          bool Witness = false;
+          for (int Y = int(B.Lo); Y <= int(B.Hi); ++Y)
+            Witness |= holds(Op, X, Y);
+          AnyPair |= Witness;
+          for (bool IsInt : {true, false}) {
+            Interval R = A.meetCompare(Op, B, IsInt);
+            EXPECT_TRUE(R.leq(A)) << Case;
+            if (Witness)
+              EXPECT_TRUE(R.contains(X)) << Case << ", a " << X;
+          }
+        }
+        EXPECT_EQ(Interval::mayHold(Op, A, B), AnyPair) << Case;
+      }
 }
 
 TEST(Interval, FloatArithmeticBasics) {

@@ -4,12 +4,14 @@
 // Safety-Critical Software" (PLDI 2003). The Scheduler is the execution-
 // policy seam of the parallel analyzer; these tests pin its contract:
 // every index runs exactly once, exceptions surface deterministically
-// (first by index), nested parallelFor runs inline without deadlock, and
-// one pool is reusable across many phases.
+// (first by index), nested parallelFor runs inline without deadlock, one
+// pool is reusable across many phases, and every task knows it runs on the
+// pool and meters into its submitter's memory counter.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analyzer/Scheduler.h"
+#include "support/MemoryTracker.h"
 
 #include <atomic>
 #include <chrono>
@@ -150,31 +152,29 @@ TEST(SchedulerPool, ReusedAcrossManyPhases) {
   EXPECT_EQ(Total.load(), Expected);
 }
 
-TEST(SchedulerScope, InstallsAndRestoresAmbient) {
-  EXPECT_EQ(Scheduler::ambient(), nullptr);
-  Scheduler A(1), B(1);
-  {
-    SchedulerScope SA(&A);
-    EXPECT_EQ(Scheduler::ambient(), &A);
-    {
-      SchedulerScope SB(&B);
-      EXPECT_EQ(Scheduler::ambient(), &B);
-    }
-    EXPECT_EQ(Scheduler::ambient(), &A);
-  }
-  EXPECT_EQ(Scheduler::ambient(), nullptr);
+TEST(SchedulerPool, TasksKnowTheyRunOnThePool) {
+  // The fan-outs read this to keep a task's nested dispatch inline.
+  EXPECT_FALSE(Scheduler::inWorkerTask());
+  Scheduler Pool(4);
+  std::atomic<int> Unmarked{0};
+  Pool.parallelFor(64, [&](size_t) {
+    if (!Scheduler::inWorkerTask())
+      Unmarked.fetch_add(1);
+  });
+  EXPECT_EQ(Unmarked.load(), 0);
+  EXPECT_FALSE(Scheduler::inWorkerTask());
 }
 
-TEST(SchedulerScope, WorkersHaveNoAmbientScheduler) {
+TEST(SchedulerPool, WorkersMeterIntoTheSubmittersCounter) {
+  // The one ambient the pool carries: the allocation sites that meter a
+  // session's abstract state cannot see its execution context.
+  memtrack::Counter Meter;
+  memtrack::CounterScope Scope(&Meter);
   Scheduler Pool(4);
-  SchedulerScope Scope(&Pool);
-  std::atomic<int> Violations{0};
+  std::atomic<int> Foreign{0};
   Pool.parallelFor(64, [&](size_t) {
-    // The submitting thread sees its ambient scheduler; pool workers see
-    // none (nested dispatches run sequentially inline there).
-    Scheduler *S = Scheduler::ambient();
-    if (S != nullptr && S != &Pool)
-      Violations.fetch_add(1);
+    if (memtrack::currentCounter() != &Meter)
+      Foreign.fetch_add(1);
   });
-  EXPECT_EQ(Violations.load(), 0);
+  EXPECT_EQ(Foreign.load(), 0);
 }

@@ -175,7 +175,7 @@ TEST(CliFlags, RemovedFlagsAndAliasesAreUnknown) {
        {"--call-memo=off", "--call-dispatch=seq", "--pack-dispatch=seq",
         "--octagon-closure=full", "--partition-dispatch=seq", "--octagons",
         "--no-octagons", "--no-ellipsoids", "--no-trees", "--no-clock",
-        "--no-packing"}) {
+        "--no-packing", "--memory-budget-mb=1"}) {
     cli::CliOptions Cli;
     cli::ParseOutcome P = cli::parseArgs({Gone, "prog.c"}, Cli);
     EXPECT_FALSE(P.Ok) << Gone;
@@ -352,8 +352,8 @@ TEST(OptionTable, EveryValueFlagTakesBothForms) {
       {"max-iterations", "9"}, {"volatile", "x=0:1"},
       {"clock-max", "100"},   {"partition", "f"},
       {"entry", "f"},         {"threads", "t:f"},
-      {"deadline-ms", "5"},   {"memory-budget-mb", "1"},
-      {"memory-budget-bytes", "100"}, {"on-budget", "fail"},
+      {"deadline-ms", "5"},   {"memory-budget-bytes", "100"},
+      {"on-budget", "fail"},
   };
   const std::string Default = fingerprint(AnalyzerOptions());
   for (const cli::Option &O : cli::options()) {

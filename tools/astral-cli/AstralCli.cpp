@@ -41,7 +41,7 @@
 // Exit codes: 0 analysis completed (alarms allowed), 1 usage or I/O error,
 // 2 frontend (preprocess/parse/sema/lower) failure on any file, 3 alarms
 // raised while --fail-on-alarms is active, 4 analysis stopped by resource
-// governance (--deadline-ms expiry, or --memory-budget-mb under
+// governance (--deadline-ms expiry, or --memory-budget-bytes under
 // --on-budget=fail).
 //
 //===----------------------------------------------------------------------===//
